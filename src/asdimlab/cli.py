@@ -11,8 +11,9 @@ Subcommands:
     cover search        exhaustive minimal-family search on a tiny ball
 
 Exit codes: 0 success, 1 semantic failure (invalid cover, no cover found),
-2 unusable input (parse errors, bad arguments, budget), 3 inconsistent
-derived bounds.  Diagnostics go to stderr as "path:line:col: error: text".
+2 unusable input (parse errors, bad arguments, budget, nesting deeper than
+the interpreter's recursion limit), 3 inconsistent derived bounds.
+Diagnostics go to stderr as "path:line:col: error: text".
 """
 
 from __future__ import annotations
@@ -246,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (BallBudgetError, UnsupportedDimensionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nests too deeply to process", file=sys.stderr)
         return 2
 
 

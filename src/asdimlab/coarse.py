@@ -538,8 +538,11 @@ def _parse_label(label: str, lineno: int) -> FiniteMetricSpace:
 def parse_witness(text: str) -> CoverWitness:
     """Rebuild a CoverWitness from its file form.
 
-    Syntactic problems raise WitnessFormatError with a line number;
-    whether the witness is a valid cover is verify_cover's business.
+    Family indices increase line by line; an index that skips ahead
+    stands for empty families in between, which format_witness writes no
+    line for.  A family index must be below the point count.  Syntactic
+    problems raise WitnessFormatError with a line number; whether the
+    witness is a valid cover is verify_cover's business.
     """
     lines = text.splitlines()
     if len(lines) < 4:
@@ -561,11 +564,17 @@ def parse_witness(text: str) -> CoverWitness:
         if not sep or not colon or not fam_s.isdigit() or not idx_s.isdigit():
             raise WitnessFormatError(f"bad subset line {line!r}", lineno)
         fam, idx = int(fam_s), int(idx_s)
-        if fam == len(families):
-            families.append([])
+        if fam >= len(families):
+            if fam >= len(space):
+                raise WitnessFormatError(
+                    f"family index {fam} out of range for {len(space)}-point space", lineno
+                )
+            # An empty family has no line, so indices may skip ahead.
+            families.extend([] for _ in range(fam + 1 - len(families)))
         elif fam != len(families) - 1:
             raise WitnessFormatError(
-                f"family indices must be contiguous, got family {fam}", lineno
+                f"family indices must increase, got family {fam} after {len(families) - 1}",
+                lineno,
             )
         if idx != len(families[fam]):
             raise WitnessFormatError(

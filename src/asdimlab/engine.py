@@ -46,8 +46,10 @@ from .groups import (
     SurfaceGroup,
     Trivial,
     Union,
+    canonical_frame,
     is_infinite,
     normalize,
+    postorder,
     to_canonical,
 )
 
@@ -390,6 +392,15 @@ def serialize_trace(trace: ProofTrace) -> str:
 
 
 def parse_trace(text: str) -> ProofTrace:
+    # A trace repeats a handful of distinct bound tokens; parse each once.
+    bounds: dict[str, DimBound] = {}
+
+    def parse_bound(token: str) -> DimBound:
+        parsed = bounds.get(token)
+        if parsed is None:
+            parsed = bounds[token] = DimBound.parse(token)
+        return parsed
+
     steps = []
     for lineno, line in enumerate(text.splitlines()):
         fields = line.split("\t")
@@ -398,7 +409,7 @@ def parse_trace(text: str) -> ProofTrace:
         raw_index, rule_id, subject_field, raw_bound = fields
         try:
             index = int(raw_index)
-            produced = DimBound.parse(raw_bound)
+            produced = parse_bound(raw_bound)
         except (ValueError, InconsistentBoundError) as exc:
             raise MalformedTraceError(f"line {lineno + 1}: {exc}") from exc
         subject = subject_field
@@ -412,7 +423,7 @@ def parse_trace(text: str) -> ProofTrace:
                     if token.startswith("@"):
                         refs.append(int(token[1:]))
                     elif ".." in token:
-                        literals.append(DimBound.parse(token))
+                        literals.append(parse_bound(token))
                     else:
                         params.append(int(token))
                 except (ValueError, InconsistentBoundError) as exc:
@@ -485,9 +496,29 @@ def consequences(bound: DimBound, aspherical: bool) -> tuple[Consequence, ...]:
 # The evaluator
 
 
+# Composite variants whose upper bound is one rule over their parts' bounds.
+_PART_RULES = {
+    Product: "R-PRODUCT",
+    Amalgam: "R-AMALGAM",
+    HNN: "R-HNN",
+    Extension: "R-EXTENSION",
+    Union: "R-UNION",
+}
+
+
 class _Evaluator:
+    """One bound derivation: the trace so far plus per-node memos.
+
+    ``subjects`` and ``status`` map ``id(node)`` to the node's canonical text
+    and infiniteness.  Both are filled during the walk from the children's
+    entries, so each distinct node costs O(children) calls however often it
+    occurs; the caller keeps the expression alive while the memos are used.
+    """
+
     def __init__(self) -> None:
         self.steps: list[TraceStep] = []
+        self.subjects: dict[int, str] = {}
+        self.status: dict[int, InfinitenessStatus] = {}
 
     def emit(self, rule_id, subject, refs=(), literals=(), params=()):
         ins = [self.steps[r].produced for r in refs] + list(literals)
@@ -506,79 +537,72 @@ class _Evaluator:
 
     def combine(self, subject, candidates):
         if len(candidates) == 1:
-            idx = candidates[0]
-        else:
-            idx = self.emit("R-COMBINE", subject, refs=tuple(candidates))
-        return idx, self.steps[idx].produced
+            return candidates[0]
+        return self.emit("R-COMBINE", subject, refs=tuple(candidates))
 
     def _lb_refined(self, expr, subject, main_idx):
         # Append the infinite-group lower bound when the structural predicate
         # forces it; UNDETERMINED never produces a lower bound.
-        if is_infinite(expr) is InfinitenessStatus.INFINITE:
+        if is_infinite(expr, self.status) is InfinitenessStatus.INFINITE:
             lb = self.emit("R-INFINITE-LB", subject)
             return self.combine(subject, [main_idx, lb])
-        return main_idx, self.steps[main_idx].produced
+        return main_idx
 
-    def eval(self, expr: GroupExpr):
-        subject = to_canonical(expr)
+    def subject(self, expr: GroupExpr) -> str:
+        key = id(expr)
+        text = self.subjects.get(key)
+        if text is None:
+            head, tail = canonical_frame(expr)
+            text = head + ",".join([self.subjects[id(k)] for k in expr.children()]) + tail
+            self.subjects[key] = text
+        return text
+
+    def eval(self, expr: GroupExpr) -> int:
+        """Emit the derivation of every node, children first; the root's step index.
+
+        ``done`` holds the final step index of each finished node whose
+        parent has not finished yet, so a node's children are its top entries.
+        """
+        done: list[int] = []
+        for node in postorder(expr):
+            n = len(node.children())
+            refs = tuple(done[len(done) - n:])
+            del done[len(done) - n:]
+            done.append(self._node(node, self.subject(node), refs))
+        return done[0]
+
+    def _node(self, expr: GroupExpr, subject: str, refs: tuple[int, ...]) -> int:
+        rule = _PART_RULES.get(type(expr))
+        if rule is not None:
+            return self._lb_refined(expr, subject, self.emit(rule, subject, refs=refs))
         if isinstance(expr, (Trivial, Finite)):
-            idx = self.emit("R-FINITE", subject)
-            return idx, self.steps[idx].produced
+            return self.emit("R-FINITE", subject)
         if isinstance(expr, FreeAbelian):
             if expr.rank == 0:
-                idx = self.emit("R-FINITE", subject)
-            else:
-                idx = self.emit("R-EUCLID", subject, params=(expr.rank,))
-            return idx, self.steps[idx].produced
+                return self.emit("R-FINITE", subject)
+            return self.emit("R-EUCLID", subject, params=(expr.rank,))
         if isinstance(expr, SurfaceGroup):
             d = 0 if expr.kind == "spherical" else 2
-            idx = self.emit("R-SURFACE", subject, params=(d,))
-            return idx, self.steps[idx].produced
+            return self.emit("R-SURFACE", subject, params=(d,))
         if isinstance(expr, Lattice):
             return self._lattice(expr, subject)
-        if isinstance(expr, Product):
-            refs = tuple(self.eval(f)[0] for f in expr.factors)
-            main = self.emit("R-PRODUCT", subject, refs=refs)
-            return self._lb_refined(expr, subject, main)
         if isinstance(expr, FreeProduct):
-            return self._free_product(expr, subject)
-        if isinstance(expr, Amalgam):
-            refs = (self.eval(expr.left)[0], self.eval(expr.right)[0], self.eval(expr.edge)[0])
-            main = self.emit("R-AMALGAM", subject, refs=refs)
-            return self._lb_refined(expr, subject, main)
-        if isinstance(expr, HNN):
-            refs = (self.eval(expr.base)[0], self.eval(expr.edge)[0])
-            main = self.emit("R-HNN", subject, refs=refs)
-            return self._lb_refined(expr, subject, main)
-        if isinstance(expr, Extension):
-            refs = (self.eval(expr.kernel)[0], self.eval(expr.quotient)[0])
-            main = self.emit("R-EXTENSION", subject, refs=refs)
-            return self._lb_refined(expr, subject, main)
-        if isinstance(expr, Union):
-            refs = tuple(self.eval(p)[0] for p in expr.parts)
-            main = self.emit("R-UNION", subject, refs=refs)
-            return self._lb_refined(expr, subject, main)
+            return self._free_product(expr, subject, refs)
         if isinstance(expr, ProperActionOn):
-            idx = self.emit("R-PROPER-ACTION", subject, literals=(expr.space_bound,))
-            return idx, self.steps[idx].produced
+            return self.emit("R-PROPER-ACTION", subject, literals=(expr.space_bound,))
         if isinstance(expr, HyperbolicGroup):
             lits = () if expr.witness_bound is None else (expr.witness_bound,)
-            idx = self.emit("R-HYP", subject, literals=lits)
-            return idx, self.steps[idx].produced
+            return self.emit("R-HYP", subject, literals=lits)
         if isinstance(expr, RelHyperbolic):
-            refs = tuple(self.eval(p)[0] for p in expr.peripherals)
             if expr.ambient_bound is None:
-                idx = self.emit("R-RELHYP", subject, refs=refs, params=(0,))
-            else:
-                idx = self.emit(
-                    "R-RELHYP", subject, refs=refs, literals=(expr.ambient_bound,), params=(1,)
-                )
-            return idx, self.steps[idx].produced
+                return self.emit("R-RELHYP", subject, refs=refs, params=(0,))
+            return self.emit(
+                "R-RELHYP", subject, refs=refs, literals=(expr.ambient_bound,), params=(1,)
+            )
         raise TypeError(f"not a GroupExpr: {expr!r}")
 
-    def _free_product(self, expr: FreeProduct, subject: str):
+    def _free_product(self, expr: FreeProduct, subject: str, factor_refs: tuple[int, ...]):
         # Iterated amalgam over a single shared trivial edge group.
-        factor_refs = [self.eval(f)[0] for f in expr.factors]
         edge = self.emit("R-FINITE", "Trivial")
         acc = factor_refs[0]
         for j in range(1, len(factor_refs)):
@@ -591,8 +615,7 @@ class _Evaluator:
     def _lattice(self, expr: Lattice, subject: str):
         fact = lookup_geometry(expr.geometry, expr.dim)
         if fact.compact_model:
-            idx = self.emit("R-FINITE", subject)
-            return idx, self.steps[idx].produced
+            return self.emit("R-FINITE", subject)
         candidates = [self.emit("R-INFINITE-LB", subject)]
         rule = fact.lattice_rule
         if expr.cocompact and rule in ("R-LIE-LATTICE", "R-EUCLID", "R-SURFACE"):
@@ -630,14 +653,18 @@ def bound(expr: GroupExpr, aspherical_dim: int | None = None) -> BoundResult:
     the root; asphericity itself is a manifold-level fact decided by the
     caller, not inferred here.  Raises InconsistentBoundError when a lower
     bound provably exceeds a numeric upper bound.
+
+    One iterative walk over the normalized expression emits the trace; its
+    cost is linear in the number of expression nodes plus the bytes of the
+    subjects it writes, at any nesting depth.
     """
     expr = normalize(expr)
     if isinstance(expr, Trivial) and aspherical_dim is None:
         return BoundResult(DimBound.exact(0), ProofTrace(()))
     ev = _Evaluator()
-    idx, val = ev.eval(expr)
+    idx = ev.eval(expr)
     if aspherical_dim is not None:
-        subject = to_canonical(expr)
+        subject = ev.subjects[id(expr)]
         lb = ev.emit("R-ASPH-LB", subject, params=(aspherical_dim,))
-        idx, val = ev.combine(subject, [idx, lb])
-    return BoundResult(val, ProofTrace(tuple(ev.steps)))
+        idx = ev.combine(subject, [idx, lb])
+    return BoundResult(ev.steps[idx].produced, ProofTrace(tuple(ev.steps)))

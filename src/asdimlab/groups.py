@@ -17,6 +17,7 @@ predicate.
 from __future__ import annotations
 
 import enum
+from collections.abc import Container, Iterator
 from dataclasses import dataclass
 
 from .bounds import DimBound, InconsistentBoundError
@@ -31,6 +32,10 @@ class GroupExpr:
     """Base class for all expression variants. Variants are frozen dataclasses."""
 
     __slots__ = ()
+
+    def children(self) -> tuple[GroupExpr, ...]:
+        """Direct subexpressions, left to right; leaves have none."""
+        return ()
 
 
 @dataclass(frozen=True)
@@ -91,6 +96,9 @@ class Product(GroupExpr):
     def __post_init__(self) -> None:
         _as_tuple(self, "factors")
 
+    def children(self) -> tuple[GroupExpr, ...]:
+        return self.factors
+
 
 @dataclass(frozen=True)
 class FreeProduct(GroupExpr):
@@ -99,6 +107,9 @@ class FreeProduct(GroupExpr):
     def __post_init__(self) -> None:
         _as_tuple(self, "factors")
 
+    def children(self) -> tuple[GroupExpr, ...]:
+        return self.factors
+
 
 @dataclass(frozen=True)
 class Amalgam(GroupExpr):
@@ -106,17 +117,26 @@ class Amalgam(GroupExpr):
     right: GroupExpr
     edge: GroupExpr
 
+    def children(self) -> tuple[GroupExpr, ...]:
+        return (self.left, self.right, self.edge)
+
 
 @dataclass(frozen=True)
 class HNN(GroupExpr):
     base: GroupExpr
     edge: GroupExpr
 
+    def children(self) -> tuple[GroupExpr, ...]:
+        return (self.base, self.edge)
+
 
 @dataclass(frozen=True)
 class Extension(GroupExpr):
     kernel: GroupExpr
     quotient: GroupExpr
+
+    def children(self) -> tuple[GroupExpr, ...]:
+        return (self.kernel, self.quotient)
 
 
 @dataclass(frozen=True)
@@ -125,6 +145,9 @@ class Union(GroupExpr):
 
     def __post_init__(self) -> None:
         _as_tuple(self, "parts")
+
+    def children(self) -> tuple[GroupExpr, ...]:
+        return self.parts
 
 
 @dataclass(frozen=True)
@@ -149,6 +172,29 @@ class RelHyperbolic(GroupExpr):
     def __post_init__(self) -> None:
         _as_tuple(self, "peripherals")
 
+    def children(self) -> tuple[GroupExpr, ...]:
+        return self.peripherals
+
+
+def postorder(expr: GroupExpr, seen: Container[int] = ()) -> Iterator[GroupExpr]:
+    """Yield the nodes of ``expr`` children first, left to right, without recursion.
+
+    Every occurrence of a shared subexpression is yielded, so the walk follows
+    tree positions.  Nodes whose ``id`` is in ``seen`` are neither entered nor
+    yielded: a caller that records each yielded node there visits each
+    distinct node once.  Raises TypeError on anything that is not a GroupExpr.
+    """
+    stack: list[tuple[GroupExpr, bool]] = [(expr, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            yield node
+        elif id(node) not in seen:
+            if not isinstance(node, GroupExpr):
+                raise TypeError(f"not a GroupExpr: {node!r}")
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children()))
+
 
 class InfinitenessStatus(enum.Enum):
     FINITE = "Finite"
@@ -156,15 +202,7 @@ class InfinitenessStatus(enum.Enum):
     UNDETERMINED = "Undetermined"
 
 
-def is_infinite(expr: GroupExpr) -> InfinitenessStatus:
-    """Conservative structural infiniteness test.
-
-    Only patterns that force the answer are decided; everything else is
-    UNDETERMINED, which downstream suppresses the "infinite groups have
-    asymptotic dimension at least 1" lower bound.  In particular HNN
-    extensions, subspace unions and the evidence leaves stay undetermined
-    even when a sharper eye would settle them.
-    """
+def _leaf_infiniteness(expr: GroupExpr) -> InfinitenessStatus:
     if isinstance(expr, (Trivial, Finite)):
         return InfinitenessStatus.FINITE
     if isinstance(expr, FreeAbelian):
@@ -181,35 +219,50 @@ def is_infinite(expr: GroupExpr) -> InfinitenessStatus:
         if fact.compact_model:
             return InfinitenessStatus.FINITE
         return InfinitenessStatus.INFINITE
-    if isinstance(expr, (Product, FreeProduct)):
-        parts: tuple[GroupExpr, ...] = expr.factors
-    elif isinstance(expr, Amalgam):
-        parts = (expr.left, expr.right, expr.edge)
-    elif isinstance(expr, Extension):
-        parts = (expr.kernel, expr.quotient)
-    else:
-        return InfinitenessStatus.UNDETERMINED
-    if any(is_infinite(p) is InfinitenessStatus.INFINITE for p in parts):
-        return InfinitenessStatus.INFINITE
     return InfinitenessStatus.UNDETERMINED
 
 
-def normalize(expr: GroupExpr) -> GroupExpr:
-    """Flatten nested Product/FreeProduct/Union layers, drop Trivial factors
-    from the two product kinds, and collapse single-element wrappers.
+# Composites that are infinite as soon as one part is.
+_INFINITE_IF_A_PART_IS = (Product, FreeProduct, Amalgam, Extension)
 
-    Idempotent, and bound-preserving under the rules engine.
+
+def is_infinite(
+    expr: GroupExpr, memo: dict[int, InfinitenessStatus] | None = None
+) -> InfinitenessStatus:
+    """Conservative structural infiniteness test.
+
+    Only patterns that force the answer are decided; everything else is
+    UNDETERMINED, which downstream suppresses the "infinite groups have
+    asymptotic dimension at least 1" lower bound.  In particular HNN
+    extensions, subspace unions and the evidence leaves stay undetermined
+    even when a sharper eye would settle them.
+
+    ``memo`` maps ``id(node)`` to a status already computed.  A caller that
+    asks about many subexpressions of one expression passes the same dict
+    to every call, and keeps the expression alive while it does, so each
+    node is decided once.
     """
+    memo = {} if memo is None else memo
+    for node in postorder(expr, memo):
+        if isinstance(node, _INFINITE_IF_A_PART_IS):
+            infinite = any(memo[id(p)] is InfinitenessStatus.INFINITE for p in node.children())
+            memo[id(node)] = (
+                InfinitenessStatus.INFINITE if infinite else InfinitenessStatus.UNDETERMINED
+            )
+        else:
+            memo[id(node)] = _leaf_infiniteness(node)
+    return memo[id(expr)]
+
+
+def _normalized(expr: GroupExpr, kids: list[GroupExpr]) -> GroupExpr:
+    # One node of normalize, given its already normalized children.
     if isinstance(expr, (Product, FreeProduct)):
         cls = type(expr)
         flat: list[GroupExpr] = []
-        for f in expr.factors:
-            f = normalize(f)
+        for f in kids:
             if isinstance(f, cls):
                 flat.extend(f.factors)
-            elif isinstance(f, Trivial):
-                continue
-            else:
+            elif not isinstance(f, Trivial):
                 flat.append(f)
         if not flat:
             return Trivial()
@@ -218,8 +271,7 @@ def normalize(expr: GroupExpr) -> GroupExpr:
         return cls(tuple(flat))
     if isinstance(expr, Union):
         flat = []
-        for p in expr.parts:
-            p = normalize(p)
+        for p in kids:
             if isinstance(p, Union):
                 flat.extend(p.parts)
             else:
@@ -227,15 +279,24 @@ def normalize(expr: GroupExpr) -> GroupExpr:
         if len(flat) == 1:
             return flat[0]
         return Union(tuple(flat))
-    if isinstance(expr, Amalgam):
-        return Amalgam(normalize(expr.left), normalize(expr.right), normalize(expr.edge))
-    if isinstance(expr, HNN):
-        return HNN(normalize(expr.base), normalize(expr.edge))
-    if isinstance(expr, Extension):
-        return Extension(normalize(expr.kernel), normalize(expr.quotient))
+    if isinstance(expr, (Amalgam, HNN, Extension)):
+        return type(expr)(*kids)
     if isinstance(expr, RelHyperbolic):
-        return RelHyperbolic(tuple(normalize(p) for p in expr.peripherals), expr.ambient_bound)
+        return RelHyperbolic(tuple(kids), expr.ambient_bound)
     return expr
+
+
+def normalize(expr: GroupExpr) -> GroupExpr:
+    """Flatten nested Product/FreeProduct/Union layers, drop Trivial factors
+    from the two product kinds, and collapse single-element wrappers.
+
+    Idempotent, and bound-preserving under the rules engine.  Each distinct
+    node is normalized once, so shared subexpressions stay shared.
+    """
+    memo: dict[int, GroupExpr] = {}
+    for node in postorder(expr, memo):
+        memo[id(node)] = _normalized(node, [memo[id(k)] for k in node.children()])
+    return memo[id(expr)]
 
 
 # ---------------------------------------------------------------------------
@@ -258,44 +319,60 @@ def _escape(label: str) -> str:
     return "".join(out)
 
 
-def to_canonical(expr: GroupExpr) -> str:
-    """Serialize to the canonical prefix form. Lossless: parse_canonical inverts it."""
+def canonical_frame(expr: GroupExpr) -> tuple[str, str]:
+    """The text around a node's children in the canonical form.
+
+    The canonical form of ``expr`` is ``head + ",".join(children's forms) +
+    tail``; a leaf has no children, so its form is ``head + tail``.
+    """
+    if isinstance(expr, (Product, FreeProduct, Amalgam, HNN, Extension, Union)):
+        return type(expr).__name__ + "(", ")"
     if isinstance(expr, Trivial):
-        return "Trivial"
+        return "Trivial", ""
     if isinstance(expr, Finite):
-        return "Finite" if expr.order is None else f"Finite({expr.order})"
+        return ("Finite" if expr.order is None else f"Finite({expr.order})"), ""
     if isinstance(expr, FreeAbelian):
-        return f"FreeAbelian({expr.rank})"
+        return f"FreeAbelian({expr.rank})", ""
     if isinstance(expr, SurfaceGroup):
-        return f"SurfaceGroup({expr.kind})"
+        return f"SurfaceGroup({expr.kind})", ""
     if isinstance(expr, Lattice):
         cc = "cocompact" if expr.cocompact else "cusped"
-        return f"Lattice({expr.geometry},{expr.dim},{cc})"
-    if isinstance(expr, Product):
-        return "Product(" + ",".join(to_canonical(f) for f in expr.factors) + ")"
-    if isinstance(expr, FreeProduct):
-        return "FreeProduct(" + ",".join(to_canonical(f) for f in expr.factors) + ")"
-    if isinstance(expr, Amalgam):
-        parts = (expr.left, expr.right, expr.edge)
-        return "Amalgam(" + ",".join(to_canonical(p) for p in parts) + ")"
-    if isinstance(expr, HNN):
-        return f"HNN({to_canonical(expr.base)},{to_canonical(expr.edge)})"
-    if isinstance(expr, Extension):
-        return f"Extension({to_canonical(expr.kernel)},{to_canonical(expr.quotient)})"
-    if isinstance(expr, Union):
-        return "Union(" + ",".join(to_canonical(p) for p in expr.parts) + ")"
+        return f"Lattice({expr.geometry},{expr.dim},{cc})", ""
     if isinstance(expr, ProperActionOn):
-        return f'ProperActionOn({expr.space_bound},"{_escape(expr.label)}")'
+        return f'ProperActionOn({expr.space_bound},"{_escape(expr.label)}")', ""
     if isinstance(expr, HyperbolicGroup):
         if expr.witness_bound is None:
-            return "HyperbolicGroup"
-        return f"HyperbolicGroup({expr.witness_bound})"
+            return "HyperbolicGroup", ""
+        return f"HyperbolicGroup({expr.witness_bound})", ""
     if isinstance(expr, RelHyperbolic):
-        items = [to_canonical(p) for p in expr.peripherals]
-        if expr.ambient_bound is not None:
-            items.append(f"ambient={expr.ambient_bound}")
-        return "RelHyperbolic(" + ",".join(items) + ")"
+        if expr.ambient_bound is None:
+            return "RelHyperbolic(", ")"
+        return "RelHyperbolic(", f",ambient={expr.ambient_bound})"
     raise TypeError(f"not a GroupExpr: {expr!r}")
+
+
+def to_canonical(expr: GroupExpr) -> str:
+    """Serialize to the canonical prefix form. Lossless: parse_canonical inverts it.
+
+    Writes the text token by token from an explicit stack, so the cost is
+    linear in the length of the result at any nesting depth.
+    """
+    out: list[str] = []
+    stack: list[GroupExpr | str] = [expr]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        head, tail = canonical_frame(item)
+        out.append(head)
+        stack.append(tail)
+        kids = item.children()
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append(kids[i])
+            if i:
+                stack.append(",")
+    return "".join(out)
 
 
 class CanonicalFormError(ValueError):

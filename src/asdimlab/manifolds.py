@@ -58,10 +58,7 @@ from .groups import (
     ProperActionOn,
     SurfaceGroup,
     Union,
-)
-
-_NAME_CHARS = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_~"
+    _NAME_CHARS,
 )
 
 RESERVED_WORDS = frozenset(

@@ -378,3 +378,31 @@ def test_finite_metric_space_check_rejects_broken_matrices():
     )
     with pytest.raises(ValueError):
         triangle.check_metric()
+
+
+# Brick cells whose cover leaves family 0 empty, so the witness file has no
+# "0:" line and its family indices start at 1.
+EMPTY_FAMILY_BRICKS = ((2, 2, 4), (2, 3, 6), (3, 2, 5), (3, 1, 3), (3, 2, 8), (3, 3, 10))
+
+
+@pytest.mark.parametrize("rank,D,radius", EMPTY_FAMILY_BRICKS)
+def test_witnesses_with_an_empty_family_round_trip(rank, D, radius):
+    witness = brick_cover(rank, D, radius)
+    assert witness.families[0] == []
+    text = format_witness(witness)
+    assert not any(line.startswith("0:") for line in text.splitlines())
+    again = parse_witness(text)
+    assert again.families == witness.families
+    assert format_witness(again) == text
+    assert verify_cover(again).valid
+
+
+def test_witness_family_indices_must_increase_and_stay_in_range():
+    lines = format_witness(brick_cover(1, 1, 4)).splitlines()  # a 9-point space
+    head = "\n".join(lines[:4]) + "\n"
+    skipped = parse_witness(head + "2:0 0,1\n2:1 5\n")
+    assert skipped.families == [[], [], [[0, 1], [5]]]
+    for body, lineno in (("1:0 0\n0:0 1\n", 6), ("9:0 0\n", 5), ("3:0 0\n12:0 1\n", 6)):
+        with pytest.raises(WitnessFormatError) as info:
+            parse_witness(head + body)
+        assert info.value.line == lineno, body
