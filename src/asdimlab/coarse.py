@@ -569,7 +569,6 @@ def parse_witness(text: str) -> CoverWitness:
                 raise WitnessFormatError(
                     f"family index {fam} out of range for {len(space)}-point space", lineno
                 )
-            # An empty family has no line, so indices may skip ahead.
             families.extend([] for _ in range(fam + 1 - len(families)))
         elif fam != len(families) - 1:
             raise WitnessFormatError(

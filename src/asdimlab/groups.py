@@ -11,7 +11,8 @@ hyperbolicity).
 The module also provides the canonical text form used in proof traces and
 fixtures (lossless round-trip via ``to_canonical``/``parse_canonical``),
 structural normalization, and the conservative three-valued infiniteness
-predicate.
+predicate.  These walk expressions with an explicit stack (``postorder``),
+so nesting depth is limited by memory, not by the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -202,7 +203,8 @@ class InfinitenessStatus(enum.Enum):
     UNDETERMINED = "Undetermined"
 
 
-def _leaf_infiniteness(expr: GroupExpr) -> InfinitenessStatus:
+def _own_infiniteness(expr: GroupExpr) -> InfinitenessStatus:
+    # What a node decides without looking at its parts.
     if isinstance(expr, (Trivial, Finite)):
         return InfinitenessStatus.FINITE
     if isinstance(expr, FreeAbelian):
@@ -250,7 +252,7 @@ def is_infinite(
                 InfinitenessStatus.INFINITE if infinite else InfinitenessStatus.UNDETERMINED
             )
         else:
-            memo[id(node)] = _leaf_infiniteness(node)
+            memo[id(node)] = _own_infiniteness(node)
     return memo[id(expr)]
 
 
