@@ -46,7 +46,6 @@ from .groups import (
     SurfaceGroup,
     Trivial,
     Union,
-    canonical_frame,
     is_infinite,
     normalize,
     postorder,
@@ -552,7 +551,7 @@ class _Evaluator:
         key = id(expr)
         text = self.subjects.get(key)
         if text is None:
-            head, tail = canonical_frame(expr)
+            head, tail = expr.frame()
             text = head + ",".join([self.subjects[id(k)] for k in expr.children()]) + tail
             self.subjects[key] = text
         return text

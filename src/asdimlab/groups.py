@@ -8,18 +8,21 @@ amalgams, HNN extensions, group extensions and subspace unions, plus three
 on a space of known asymptotic dimension, hyperbolicity, relative
 hyperbolicity).
 
-The module also provides the canonical text form used in proof traces and
-fixtures (lossless round-trip via ``to_canonical``/``parse_canonical``),
-structural normalization, and the conservative three-valued infiniteness
-predicate.  These walk expressions with an explicit stack (``postorder``),
-so nesting depth is limited by memory, not by the interpreter's stack.
+Each variant class holds its own canonical text form, rebuild step and
+infiniteness.  The module provides the canonical text form used in proof
+traces and fixtures (lossless round-trip via ``to_canonical`` and the
+iterative reader ``parse_canonical``), structural normalization, and the
+conservative three-valued infiniteness predicate.  All walk expressions with
+an explicit stack, so nesting depth is limited by memory, not by the
+interpreter's stack.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Container, Iterator
+from collections.abc import Callable, Container, Iterator, Sequence
 from dataclasses import dataclass
+from operator import methodcaller
 
 from .bounds import DimBound, InconsistentBoundError
 from .geometries import UnknownGeometryError, lookup_geometry
@@ -29,8 +32,18 @@ SURFACE_KINDS = ("spherical", "flat", "hyperbolic")
 _NAME_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_~")
 
 
+class InfinitenessStatus(enum.Enum):
+    FINITE = "Finite"
+    INFINITE = "Infinite"
+    UNDETERMINED = "Undetermined"
+
+
 class GroupExpr:
-    """Base class for all expression variants. Variants are frozen dataclasses."""
+    """Base class for all expression variants. Variants are frozen dataclasses.
+
+    The defaults here are a leaf's.  ``frame()`` gives the text around the
+    children in the canonical form: ``head + ",".join(their forms) + tail``.
+    """
 
     __slots__ = ()
 
@@ -38,10 +51,98 @@ class GroupExpr:
         """Direct subexpressions, left to right; leaves have none."""
         return ()
 
+    @classmethod
+    def read(cls, sc: _Scanner) -> tuple:
+        """A leaf's constructor arguments, read from the text after its name."""
+        return ()
+
+    def infiniteness(self, parts: list[InfinitenessStatus]) -> InfinitenessStatus:
+        """What this node decides, given its children's statuses in order."""
+        return InfinitenessStatus.UNDETERMINED
+
+    def normal_parts(self) -> Sequence[GroupExpr]:
+        """The subexpressions whose normal forms make up this node's."""
+        return self.children()
+
+    def normalized(self, kids: list[GroupExpr]) -> GroupExpr:
+        """This node's normal form, given those of ``normal_parts()`` in order."""
+        return self
+
+
+class _Composite(GroupExpr):
+    """A variant with children, written ``Name(child,...)``."""
+
+    def frame(self) -> tuple[str, str]:
+        return type(self).__name__ + "(", ")"
+
+    @classmethod
+    def rebuild(cls, kids: Sequence[GroupExpr]) -> GroupExpr:
+        """A node of this variant with children ``kids``; ValueError if they do not fit."""
+        arity = len(cls.__match_args__)
+        if len(kids) != arity:
+            raise ValueError(f"{cls.__name__} takes {arity} arguments, got {len(kids)}")
+        return cls(*kids)
+
+    def normalized(self, kids: list[GroupExpr]) -> GroupExpr:
+        return self.rebuild(kids)
+
+
+class _Parts(_Composite):
+    """A composite whose first field is a nonempty tuple of parts, its children."""
+
+    def __post_init__(self) -> None:
+        name = self.__match_args__[0]
+        object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not getattr(self, name):
+            raise ValueError(f"{type(self).__name__}.{name} must be nonempty")
+
+    def children(self) -> tuple[GroupExpr, ...]:
+        return getattr(self, self.__match_args__[0])
+
+    @classmethod
+    def rebuild(cls, kids: Sequence[GroupExpr]) -> GroupExpr:
+        return cls(kids)
+
+
+class _Flattening(_Parts):
+    """Parts whose normal form splices in the parts of nested nodes of the same
+    variant, drops Trivial parts where the trivial group is the unit, and lets
+    a single remaining part stand for the whole."""
+
+    _trivial_is_unit = True
+
+    def normal_parts(self) -> list[GroupExpr]:
+        # the parts below the whole run of same-variant nodes under this one,
+        # left to right, so a run is flattened in one pass however deep it is
+        parts: list[GroupExpr] = []
+        stack: list[GroupExpr] = [self]
+        while stack:
+            node = stack.pop()
+            if type(node) is type(self):
+                stack.extend(reversed(node.children()))
+            else:
+                parts.append(node)
+        return parts
+
+    def normalized(self, kids: list[GroupExpr]) -> GroupExpr:
+        flat: list[GroupExpr] = []
+        for k in kids:
+            if type(k) is type(self):
+                flat.extend(k.children())
+            elif not (self._trivial_is_unit and isinstance(k, Trivial)):
+                flat.append(k)
+        if len(flat) == 1:
+            return flat[0]
+        return self.rebuild(flat) if flat else Trivial()
+
 
 @dataclass(frozen=True)
 class Trivial(GroupExpr):
-    pass
+    def frame(self) -> tuple[str, str]:
+        return "Trivial", ""
+
+    def infiniteness(self, parts: list[InfinitenessStatus]) -> InfinitenessStatus:
+        return InfinitenessStatus.FINITE
 
 
 @dataclass(frozen=True)
@@ -52,6 +153,16 @@ class Finite(GroupExpr):
         if self.order is not None and self.order < 1:
             raise ValueError(f"finite group order must be positive, got {self.order}")
 
+    def frame(self) -> tuple[str, str]:
+        return ("Finite" if self.order is None else f"Finite({self.order})"), ""
+
+    @classmethod
+    def read(cls, sc: _Scanner) -> tuple:
+        return sc.args(sc.integer) if sc.peek() == "(" else ()
+
+    def infiniteness(self, parts: list[InfinitenessStatus]) -> InfinitenessStatus:
+        return InfinitenessStatus.FINITE
+
 
 @dataclass(frozen=True)
 class FreeAbelian(GroupExpr):
@@ -61,6 +172,16 @@ class FreeAbelian(GroupExpr):
         if self.rank < 0:
             raise ValueError(f"negative rank {self.rank}")
 
+    def frame(self) -> tuple[str, str]:
+        return f"FreeAbelian({self.rank})", ""
+
+    @classmethod
+    def read(cls, sc: _Scanner) -> tuple:
+        return sc.args(sc.integer)
+
+    def infiniteness(self, parts: list[InfinitenessStatus]) -> InfinitenessStatus:
+        return InfinitenessStatus.INFINITE if self.rank >= 1 else InfinitenessStatus.FINITE
+
 
 @dataclass(frozen=True)
 class SurfaceGroup(GroupExpr):
@@ -69,6 +190,18 @@ class SurfaceGroup(GroupExpr):
     def __post_init__(self) -> None:
         if self.kind not in SURFACE_KINDS:
             raise ValueError(f"surface kind must be one of {SURFACE_KINDS}, got {self.kind!r}")
+
+    def frame(self) -> tuple[str, str]:
+        return f"SurfaceGroup({self.kind})", ""
+
+    @classmethod
+    def read(cls, sc: _Scanner) -> tuple:
+        return sc.args(sc.ident)
+
+    def infiniteness(self, parts: list[InfinitenessStatus]) -> InfinitenessStatus:
+        if self.kind == "spherical":
+            return InfinitenessStatus.FINITE
+        return InfinitenessStatus.INFINITE
 
 
 @dataclass(frozen=True)
@@ -83,47 +216,59 @@ class Lattice(GroupExpr):
         if self.dim < 1:
             raise ValueError(f"bad geometry dimension {self.dim}")
 
+    def frame(self) -> tuple[str, str]:
+        cc = "cocompact" if self.cocompact else "cusped"
+        return f"Lattice({self.geometry},{self.dim},{cc})", ""
 
-def _as_tuple(expr: GroupExpr, name: str) -> None:
-    object.__setattr__(expr, name, tuple(getattr(expr, name)))
-    if not getattr(expr, name):
-        raise ValueError(f"{type(expr).__name__}.{name} must be nonempty")
+    @classmethod
+    def read(cls, sc: _Scanner) -> tuple:
+        geometry, dim, cc = sc.args(sc.ident, sc.integer, sc.ident)
+        if cc not in ("cocompact", "cusped"):
+            raise sc.error(f"expected cocompact or cusped, found {cc!r}")
+        return geometry, dim, cc == "cocompact"
+
+    def infiniteness(self, parts: list[InfinitenessStatus]) -> InfinitenessStatus:
+        try:
+            compact = lookup_geometry(self.geometry, self.dim).compact_model
+        except UnknownGeometryError:
+            return InfinitenessStatus.UNDETERMINED
+        return InfinitenessStatus.FINITE if compact else InfinitenessStatus.INFINITE
+
+
+def _infinite_if_a_part_is(self, parts: list[InfinitenessStatus]) -> InfinitenessStatus:
+    if InfinitenessStatus.INFINITE in parts:
+        return InfinitenessStatus.INFINITE
+    return InfinitenessStatus.UNDETERMINED
 
 
 @dataclass(frozen=True)
-class Product(GroupExpr):
+class Product(_Flattening):
     factors: tuple[GroupExpr, ...]
 
-    def __post_init__(self) -> None:
-        _as_tuple(self, "factors")
-
-    def children(self) -> tuple[GroupExpr, ...]:
-        return self.factors
+    infiniteness = _infinite_if_a_part_is
 
 
 @dataclass(frozen=True)
-class FreeProduct(GroupExpr):
+class FreeProduct(_Flattening):
     factors: tuple[GroupExpr, ...]
 
-    def __post_init__(self) -> None:
-        _as_tuple(self, "factors")
-
-    def children(self) -> tuple[GroupExpr, ...]:
-        return self.factors
+    infiniteness = _infinite_if_a_part_is
 
 
 @dataclass(frozen=True)
-class Amalgam(GroupExpr):
+class Amalgam(_Composite):
     left: GroupExpr
     right: GroupExpr
     edge: GroupExpr
+
+    infiniteness = _infinite_if_a_part_is
 
     def children(self) -> tuple[GroupExpr, ...]:
         return (self.left, self.right, self.edge)
 
 
 @dataclass(frozen=True)
-class HNN(GroupExpr):
+class HNN(_Composite):
     base: GroupExpr
     edge: GroupExpr
 
@@ -132,23 +277,21 @@ class HNN(GroupExpr):
 
 
 @dataclass(frozen=True)
-class Extension(GroupExpr):
+class Extension(_Composite):
     kernel: GroupExpr
     quotient: GroupExpr
+
+    infiniteness = _infinite_if_a_part_is
 
     def children(self) -> tuple[GroupExpr, ...]:
         return (self.kernel, self.quotient)
 
 
 @dataclass(frozen=True)
-class Union(GroupExpr):
+class Union(_Flattening):
     parts: tuple[GroupExpr, ...]
 
-    def __post_init__(self) -> None:
-        _as_tuple(self, "parts")
-
-    def children(self) -> tuple[GroupExpr, ...]:
-        return self.parts
+    _trivial_is_unit = False
 
 
 @dataclass(frozen=True)
@@ -159,31 +302,62 @@ class ProperActionOn(GroupExpr):
     space_bound: DimBound
     label: str
 
+    def frame(self) -> tuple[str, str]:
+        return f'ProperActionOn({self.space_bound},"{_escape(self.label)}")', ""
+
+    @classmethod
+    def read(cls, sc: _Scanner) -> tuple:
+        return sc.args(sc.bound, sc.string)
+
 
 @dataclass(frozen=True)
 class HyperbolicGroup(GroupExpr):
     witness_bound: DimBound | None = None
 
+    def frame(self) -> tuple[str, str]:
+        if self.witness_bound is None:
+            return "HyperbolicGroup", ""
+        return f"HyperbolicGroup({self.witness_bound})", ""
+
+    @classmethod
+    def read(cls, sc: _Scanner) -> tuple:
+        return sc.args(sc.bound) if sc.peek() == "(" else ()
+
 
 @dataclass(frozen=True)
-class RelHyperbolic(GroupExpr):
+class RelHyperbolic(_Parts):
     peripherals: tuple[GroupExpr, ...]
     ambient_bound: DimBound | None = None
 
-    def __post_init__(self) -> None:
-        _as_tuple(self, "peripherals")
+    def frame(self) -> tuple[str, str]:
+        if self.ambient_bound is None:
+            return "RelHyperbolic(", ")"
+        return "RelHyperbolic(", f",ambient={self.ambient_bound})"
 
-    def children(self) -> tuple[GroupExpr, ...]:
-        return self.peripherals
+    @classmethod
+    def rebuild(cls, kids: Sequence[GroupExpr], ambient_bound=None) -> GroupExpr:
+        return cls(kids, ambient_bound)
+
+    def normalized(self, kids: list[GroupExpr]) -> GroupExpr:
+        return self.rebuild(kids, self.ambient_bound)
 
 
-def postorder(expr: GroupExpr, seen: Container[int] = ()) -> Iterator[GroupExpr]:
+_VARIANTS: dict[str, type[GroupExpr]] = {cls.__name__: cls for cls in (
+    Trivial, Finite, FreeAbelian, SurfaceGroup, Lattice, Product, FreeProduct, Amalgam,
+    HNN, Extension, Union, ProperActionOn, HyperbolicGroup, RelHyperbolic,
+)}
+
+
+def postorder(
+    expr: GroupExpr, seen: Container[int] = (), parts=methodcaller("children")
+) -> Iterator[GroupExpr]:
     """Yield the nodes of ``expr`` children first, left to right, without recursion.
 
     Every occurrence of a shared subexpression is yielded, so the walk follows
     tree positions.  Nodes whose ``id`` is in ``seen`` are neither entered nor
     yielded: a caller that records each yielded node there visits each
-    distinct node once.  Raises TypeError on anything that is not a GroupExpr.
+    distinct node once.  ``parts`` gives the subexpressions to walk into.
+    Raises TypeError on anything that is not a GroupExpr.
     """
     stack: list[tuple[GroupExpr, bool]] = [(expr, False)]
     while stack:
@@ -194,38 +368,7 @@ def postorder(expr: GroupExpr, seen: Container[int] = ()) -> Iterator[GroupExpr]
             if not isinstance(node, GroupExpr):
                 raise TypeError(f"not a GroupExpr: {node!r}")
             stack.append((node, True))
-            stack.extend((child, False) for child in reversed(node.children()))
-
-
-class InfinitenessStatus(enum.Enum):
-    FINITE = "Finite"
-    INFINITE = "Infinite"
-    UNDETERMINED = "Undetermined"
-
-
-def _own_infiniteness(expr: GroupExpr) -> InfinitenessStatus:
-    # What a node decides without looking at its parts.
-    if isinstance(expr, (Trivial, Finite)):
-        return InfinitenessStatus.FINITE
-    if isinstance(expr, FreeAbelian):
-        return InfinitenessStatus.INFINITE if expr.rank >= 1 else InfinitenessStatus.FINITE
-    if isinstance(expr, SurfaceGroup):
-        if expr.kind == "spherical":
-            return InfinitenessStatus.FINITE
-        return InfinitenessStatus.INFINITE
-    if isinstance(expr, Lattice):
-        try:
-            fact = lookup_geometry(expr.geometry, expr.dim)
-        except UnknownGeometryError:
-            return InfinitenessStatus.UNDETERMINED
-        if fact.compact_model:
-            return InfinitenessStatus.FINITE
-        return InfinitenessStatus.INFINITE
-    return InfinitenessStatus.UNDETERMINED
-
-
-# Composites that are infinite as soon as one part is.
-_INFINITE_IF_A_PART_IS = (Product, FreeProduct, Amalgam, Extension)
+            stack.extend((child, False) for child in reversed(parts(node)))
 
 
 def is_infinite(
@@ -246,46 +389,8 @@ def is_infinite(
     """
     memo = {} if memo is None else memo
     for node in postorder(expr, memo):
-        if isinstance(node, _INFINITE_IF_A_PART_IS):
-            infinite = any(memo[id(p)] is InfinitenessStatus.INFINITE for p in node.children())
-            memo[id(node)] = (
-                InfinitenessStatus.INFINITE if infinite else InfinitenessStatus.UNDETERMINED
-            )
-        else:
-            memo[id(node)] = _own_infiniteness(node)
+        memo[id(node)] = node.infiniteness([memo[id(p)] for p in node.children()])
     return memo[id(expr)]
-
-
-def _normalized(expr: GroupExpr, kids: list[GroupExpr]) -> GroupExpr:
-    # One node of normalize, given its already normalized children.
-    if isinstance(expr, (Product, FreeProduct)):
-        cls = type(expr)
-        flat: list[GroupExpr] = []
-        for f in kids:
-            if isinstance(f, cls):
-                flat.extend(f.factors)
-            elif not isinstance(f, Trivial):
-                flat.append(f)
-        if not flat:
-            return Trivial()
-        if len(flat) == 1:
-            return flat[0]
-        return cls(tuple(flat))
-    if isinstance(expr, Union):
-        flat = []
-        for p in kids:
-            if isinstance(p, Union):
-                flat.extend(p.parts)
-            else:
-                flat.append(p)
-        if len(flat) == 1:
-            return flat[0]
-        return Union(tuple(flat))
-    if isinstance(expr, (Amalgam, HNN, Extension)):
-        return type(expr)(*kids)
-    if isinstance(expr, RelHyperbolic):
-        return RelHyperbolic(tuple(kids), expr.ambient_bound)
-    return expr
 
 
 def normalize(expr: GroupExpr) -> GroupExpr:
@@ -293,11 +398,12 @@ def normalize(expr: GroupExpr) -> GroupExpr:
     from the two product kinds, and collapse single-element wrappers.
 
     Idempotent, and bound-preserving under the rules engine.  Each distinct
-    node is normalized once, so shared subexpressions stay shared.
+    node is normalized once, so shared subexpressions stay shared, and a run
+    of nested same-variant layers costs time linear in its size.
     """
     memo: dict[int, GroupExpr] = {}
-    for node in postorder(expr, memo):
-        memo[id(node)] = _normalized(node, [memo[id(k)] for k in node.children()])
+    for node in postorder(expr, memo, methodcaller("normal_parts")):
+        memo[id(node)] = node.normalized([memo[id(k)] for k in node.normal_parts()])
     return memo[id(expr)]
 
 
@@ -305,52 +411,12 @@ def normalize(expr: GroupExpr) -> GroupExpr:
 # Canonical text form
 
 
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\t": "\\t", "\n": "\\n"}
+_UNESCAPES = {v[1]: k for k, v in _ESCAPES.items()}
+
+
 def _escape(label: str) -> str:
-    out = []
-    for ch in label:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\n":
-            out.append("\\n")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def canonical_frame(expr: GroupExpr) -> tuple[str, str]:
-    """The text around a node's children in the canonical form.
-
-    The canonical form of ``expr`` is ``head + ",".join(children's forms) +
-    tail``; a leaf has no children, so its form is ``head + tail``.
-    """
-    if isinstance(expr, (Product, FreeProduct, Amalgam, HNN, Extension, Union)):
-        return type(expr).__name__ + "(", ")"
-    if isinstance(expr, Trivial):
-        return "Trivial", ""
-    if isinstance(expr, Finite):
-        return ("Finite" if expr.order is None else f"Finite({expr.order})"), ""
-    if isinstance(expr, FreeAbelian):
-        return f"FreeAbelian({expr.rank})", ""
-    if isinstance(expr, SurfaceGroup):
-        return f"SurfaceGroup({expr.kind})", ""
-    if isinstance(expr, Lattice):
-        cc = "cocompact" if expr.cocompact else "cusped"
-        return f"Lattice({expr.geometry},{expr.dim},{cc})", ""
-    if isinstance(expr, ProperActionOn):
-        return f'ProperActionOn({expr.space_bound},"{_escape(expr.label)}")', ""
-    if isinstance(expr, HyperbolicGroup):
-        if expr.witness_bound is None:
-            return "HyperbolicGroup", ""
-        return f"HyperbolicGroup({expr.witness_bound})", ""
-    if isinstance(expr, RelHyperbolic):
-        if expr.ambient_bound is None:
-            return "RelHyperbolic(", ")"
-        return "RelHyperbolic(", f",ambient={expr.ambient_bound})"
-    raise TypeError(f"not a GroupExpr: {expr!r}")
+    return label.translate(str.maketrans(_ESCAPES))
 
 
 def to_canonical(expr: GroupExpr) -> str:
@@ -366,14 +432,13 @@ def to_canonical(expr: GroupExpr) -> str:
         if isinstance(item, str):
             out.append(item)
             continue
-        head, tail = canonical_frame(item)
+        if not isinstance(item, GroupExpr):
+            raise TypeError(f"not a GroupExpr: {item!r}")
+        head, tail = item.frame()
         out.append(head)
         stack.append(tail)
-        kids = item.children()
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append(kids[i])
-            if i:
-                stack.append(",")
+        for i, kid in enumerate(reversed(item.children())):
+            stack.extend((",", kid) if i else (kid,))
     return "".join(out)
 
 
@@ -386,8 +451,8 @@ class _Scanner:
         self.text = text
         self.pos = 0
 
-    def error(self, message: str) -> CanonicalFormError:
-        return CanonicalFormError(f"offset {self.pos}: {message}")
+    def error(self, message: str, offset: int | None = None) -> CanonicalFormError:
+        return CanonicalFormError(f"offset {self.pos if offset is None else offset}: {message}")
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -409,29 +474,27 @@ class _Scanner:
         word = self.ident()
         if not word.isdigit():
             raise self.error(f"expected an integer, found {word!r}")
-        return int(word)
+        try:
+            return int(word)
+        except ValueError as exc:  # more digits than int() converts
+            raise self.error(str(exc)) from exc
 
     def string(self) -> str:
         self.expect('"')
         out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.error("unterminated string")
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == '"':
-                return "".join(out)
+        while self.peek() != '"':
+            ch = self.peek()
             if ch == "\\":
-                if self.pos >= len(self.text):
-                    raise self.error("dangling escape")
-                esc = self.text[self.pos]
                 self.pos += 1
-                try:
-                    out.append({"\\": "\\", '"': '"', "t": "\t", "n": "\n"}[esc])
-                except KeyError:
-                    raise self.error(f"bad escape \\{esc}") from None
-            else:
-                out.append(ch)
+                ch = _UNESCAPES.get(self.peek())
+                if ch is None:
+                    raise self.error(f"bad escape \\{self.peek()}")
+            elif not ch:
+                raise self.error("unterminated string")
+            out.append(ch)
+            self.pos += 1
+        self.pos += 1
+        return "".join(out)
 
     def bound(self) -> DimBound:
         lower = self.integer()
@@ -447,113 +510,57 @@ class _Scanner:
         except (InconsistentBoundError, ValueError) as exc:
             raise self.error(str(exc)) from exc
 
+    def args(self, *readers: Callable[[], object]) -> tuple:
+        """``(a,b,...)``, each item read by the reader in its place."""
+        values = []
+        for i, read in enumerate(readers):
+            self.expect("," if i else "(")
+            values.append(read())
+        self.expect(")")
+        return tuple(values)
+
+    def made(self, offset: int, make: Callable[..., GroupExpr], *args: object) -> GroupExpr:
+        """``make(*args)``, with a constructor's ValueError reported at ``offset``."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise self.error(str(exc), offset) from exc
+
 
 def parse_canonical(text: str) -> GroupExpr:
-    """Parse the canonical prefix form back into a GroupExpr."""
+    """Parse the canonical prefix form back into a GroupExpr.
+
+    Reads with an explicit stack of open composites, so nesting depth is
+    limited by memory, not by the interpreter's stack.
+    """
     sc = _Scanner(text)
-    expr = _parse_expr(sc)
-    if sc.pos != len(text):
-        raise sc.error("trailing input after expression")
-    return expr
-
-
-def _parse_list(sc: _Scanner) -> list[GroupExpr]:
-    sc.expect("(")
-    items = [_parse_expr(sc)]
-    while sc.peek() == ",":
-        sc.pos += 1
-        items.append(_parse_expr(sc))
-    sc.expect(")")
-    return items
-
-
-def _parse_expr(sc: _Scanner) -> GroupExpr:
-    head = sc.ident()
-    if head == "Trivial":
-        return Trivial()
-    if head == "Finite":
-        if sc.peek() == "(":
-            sc.pos += 1
-            order = sc.integer()
-            sc.expect(")")
-            return Finite(order)
-        return Finite()
-    if head == "FreeAbelian":
-        sc.expect("(")
-        rank = sc.integer()
-        sc.expect(")")
-        return FreeAbelian(rank)
-    if head == "SurfaceGroup":
-        sc.expect("(")
-        kind = sc.ident()
-        sc.expect(")")
-        if kind not in SURFACE_KINDS:
-            raise sc.error(f"bad surface kind {kind!r}")
-        return SurfaceGroup(kind)
-    if head == "Lattice":
-        sc.expect("(")
-        geometry = sc.ident()
-        sc.expect(",")
-        dim = sc.integer()
-        sc.expect(",")
-        cc = sc.ident()
-        sc.expect(")")
-        if cc not in ("cocompact", "cusped"):
-            raise sc.error(f"expected cocompact or cusped, found {cc!r}")
-        return Lattice(geometry, dim, cc == "cocompact")
-    if head in ("Product", "FreeProduct", "Union"):
-        items = tuple(_parse_list(sc))
-        return {"Product": Product, "FreeProduct": FreeProduct, "Union": Union}[head](items)
-    if head == "Amalgam":
-        items = _parse_list(sc)
-        if len(items) != 3:
-            raise sc.error(f"Amalgam takes 3 arguments, got {len(items)}")
-        return Amalgam(*items)
-    if head == "HNN":
-        items = _parse_list(sc)
-        if len(items) != 2:
-            raise sc.error(f"HNN takes 2 arguments, got {len(items)}")
-        return HNN(*items)
-    if head == "Extension":
-        items = _parse_list(sc)
-        if len(items) != 2:
-            raise sc.error(f"Extension takes 2 arguments, got {len(items)}")
-        return Extension(*items)
-    if head == "ProperActionOn":
-        sc.expect("(")
-        space = sc.bound()
-        sc.expect(",")
-        label = sc.string()
-        sc.expect(")")
-        return ProperActionOn(space, label)
-    if head == "HyperbolicGroup":
-        if sc.peek() == "(":
-            sc.pos += 1
-            witness = sc.bound()
-            sc.expect(")")
-            return HyperbolicGroup(witness)
-        return HyperbolicGroup()
-    if head == "RelHyperbolic":
-        sc.expect("(")
-        peripherals: list[GroupExpr] = []
-        ambient: DimBound | None = None
-        while True:
-            mark = sc.pos
-            word_ok = sc.peek() in _NAME_CHARS
-            if word_ok:
-                word = sc.ident()
-                if word == "ambient" and sc.peek() == "=":
-                    sc.pos += 1
-                    ambient = sc.bound()
-                    break
-                sc.pos = mark
-            peripherals.append(_parse_expr(sc))
+    # each open composite: its variant, the offset of its head, its children so far
+    open_: list[tuple[type[_Composite], int, list[GroupExpr]]] = []
+    while True:
+        start = sc.pos
+        head = sc.ident()
+        cls = _VARIANTS.get(head)
+        if cls is None:
+            raise sc.error(f"unknown expression head {head!r}", start)
+        if issubclass(cls, _Composite):
+            sc.expect("(")
+            open_.append((cls, start, []))
+            continue
+        node = sc.made(start, cls, *cls.read(sc))
+        while open_:
+            cls, start, kids = open_[-1]
+            kids.append(node)
+            extra: tuple[DimBound, ...] = ()
             if sc.peek() == ",":
                 sc.pos += 1
-                continue
-            break
-        sc.expect(")")
-        if not peripherals:
-            raise sc.error("RelHyperbolic needs at least one peripheral")
-        return RelHyperbolic(tuple(peripherals), ambient)
-    raise sc.error(f"unknown expression head {head!r}")
+                if not (cls is RelHyperbolic and text.startswith("ambient=", sc.pos)):
+                    break
+                sc.pos += len("ambient=")
+                extra = (sc.bound(),)
+            sc.expect(")")
+            open_.pop()
+            node = sc.made(start, cls.rebuild, kids, *extra)
+        if not open_:
+            if sc.pos != len(text):
+                raise sc.error("trailing input after expression")
+            return node

@@ -70,24 +70,20 @@ EDGE_TYPES_BY_DIM = {4: ("flat3", "nil3"), 3: ("torus2", "klein2", "surface2")}
 VERDICT_STATUSES = ("Aspherical", "NotAspherical", "Undetermined")
 
 
-class ManifoldParseError(Exception):
+class _PositionedError(Exception):
+    def __init__(self, message: str, line: int, col: int):
+        super().__init__(message)
+        self.message = message
+        self.line = line
+        self.col = col
+
+
+class ManifoldParseError(_PositionedError):
     """Syntax or source-level semantic error, carrying a (line, col) position."""
 
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(message)
-        self.message = message
-        self.line = line
-        self.col = col
 
-
-class OutsideClassifiedCasesError(Exception):
+class OutsideClassifiedCasesError(_PositionedError):
     """A decomposition graph mixes geometries no classified case covers."""
-
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(message)
-        self.message = message
-        self.line = line
-        self.col = col
 
 
 @dataclass(frozen=True)
@@ -386,13 +382,9 @@ def parse_manifold(text: str) -> ManifoldDesc:
         if missing:
             assert sum_tok is not None
             p.fail(sum_tok, "sum omits declared summands: " + ", ".join(missing))
-        by_name = {_summand_name(s): s for s in summands}
+        by_name = {s.name: s for s in summands}
         ordered = [by_name[tok.text] for tok in sum_names]
     return ManifoldDesc(dim, tuple(ordered), alexandrov, singular)
-
-
-def _summand_name(s: Summand) -> str:
-    return s.name
 
 
 def _connected(vertices: list[GraphVertex], edges: list[GraphEdge]) -> bool:
@@ -436,7 +428,7 @@ def render(desc: ManifoldDesc) -> str:
             lines.append(f"  pi1_injective {flag};")
             lines.append("}")
     if len(desc.summands) > 1:
-        lines.append("sum " + " # ".join(_summand_name(s) for s in desc.summands) + ";")
+        lines.append("sum " + " # ".join(s.name for s in desc.summands) + ";")
     if desc.alexandrov:
         flag = "true" if desc.singular_set_nonempty else "false"
         lines.append(f"alexandrov {flag};")
@@ -680,7 +672,7 @@ def connected_sum_with_handles(desc: ManifoldDesc, k: int) -> ManifoldDesc:
         raise ValueError("handle sums are a dim-4 operation")
     if k < 0:
         raise ValueError(f"handle count must be non-negative, got {k}")
-    taken = {_summand_name(s) for s in desc.summands}
+    taken = {s.name for s in desc.summands}
     handles: list[Handle] = []
     counter = 1
     while len(handles) < k:

@@ -91,12 +91,12 @@ def test_group_walks_survive_50000_deep_nesting():
     assert len(text) == len("FreeAbelian(1)") + DEEP * len("Amalgam(,FreeAbelian(1),Trivial)")
     assert is_infinite(expr) is InfinitenessStatus.INFINITE
     assert to_canonical(normalize(expr)) == text
+    # compare texts: dataclass == on two distinct trees this deep still recurses
+    assert to_canonical(parse_canonical(text)) == text
 
 
 def test_normalize_flattens_a_product_nested_past_the_recursion_limit():
-    # each level's flattened factor list is built anew, so the cost is
-    # quadratic in the depth of a run of nested products: keep it modest
-    depth = 3 * sys.getrecursionlimit()
+    depth = DEEP
     z = FreeAbelian(1)
     expr = z
     for _ in range(depth):

@@ -151,9 +151,12 @@ def test_parse_canonical_errors_carry_positions():
         "Lattice(H3,3,sometimes)",
         'ProperActionOn(0..3,"unterminated)',
         "HyperbolicGroup(4..2)",
+        "Finite(0)",
+        "Lattice(H3,0,cocompact)",
+        "FreeAbelian(" + "1" * 5000 + ")",
     ]
     for text in bad:
-        with pytest.raises(CanonicalFormError):
+        with pytest.raises(CanonicalFormError, match=r"^offset \d+: "):
             parse_canonical(text)
 
 
