@@ -11,16 +11,15 @@ Subcommands:
     cover search        exhaustive minimal-family search on a tiny ball
 
 Exit codes: 0 success, 1 semantic failure (invalid cover, no cover found),
-2 unusable input (parse errors, bad arguments, budget, nesting deeper than
-the interpreter's recursion limit), 3 inconsistent derived bounds.
+2 unusable input (parse errors, bad arguments, budget, unreadable input or
+unwritable output files, nesting deeper than the interpreter's recursion
+limit), 3 inconsistent derived bounds.
 Diagnostics go to stderr as "path:line:col: error: text".
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from .coarse import (
     WitnessFormatError,
     brick_cover,
     cayley_ball,
+    check_search_size,
     format_witness,
     min_families_exhaustive,
     parse_group_spec,
@@ -60,6 +60,15 @@ def _read_text(path: str) -> tuple[str, bytes] | int:
         return 2
 
 
+def _write_text(path: str, text: str) -> int:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        print(f"{path}: error: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def cmd_bound(args: argparse.Namespace) -> int:
     loaded = _read_text(args.file)
     if isinstance(loaded, int):
@@ -75,6 +84,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
     result = engine.bound(expr, aspherical_dim=desc.dim if aspherical else None)
     cons = engine.consequences(result.bound, aspherical)
     if args.format == "structured":
+        import hashlib
+        import json
+
         payload = {
             "input": {"digest": "sha256:" + hashlib.sha256(raw).hexdigest()},
             "group": to_canonical(expr),
@@ -116,6 +128,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_catalog(args: argparse.Namespace) -> int:
     facts = list_geometries(args.dim)
     if args.format == "structured":
+        import json
+
         payload = {"dim": args.dim, "geometries": [fact_record(f) for f in facts]}
         print(json.dumps(payload, indent=2))
         return 0
@@ -137,7 +151,8 @@ def cmd_cover_build(args: argparse.Namespace) -> int:
     witness = brick_cover(args.rank, args.D, args.radius)
     text = format_witness(witness)
     if args.output:
-        Path(args.output).write_text(text)
+        if _write_text(args.output, text):
+            return 2
         subsets = sum(len(fam) for fam in witness.families)
         print(
             f"wrote {args.output}: {len(witness.space)} points,"
@@ -175,6 +190,7 @@ def cmd_cover_verify(args: argparse.Namespace) -> int:
 
 def cmd_cover_search(args: argparse.Namespace) -> int:
     spec = parse_group_spec(args.group)
+    check_search_size(spec, args.radius)
     space = cayley_ball(spec, args.radius)
     result = min_families_exhaustive(space, args.D, args.B, args.k_max)
     if result.k is None:
@@ -182,7 +198,7 @@ def cmd_cover_search(args: argparse.Namespace) -> int:
         return 1
     print(f"k={result.k}")
     if args.output and result.witness is not None:
-        Path(args.output).write_text(format_witness(result.witness))
+        return _write_text(args.output, format_witness(result.witness))
     return 0
 
 

@@ -15,11 +15,18 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_POINT_BUDGET = 200_000
 _BUDGET_ENV = "ASDIMLAB_POINT_BUDGET"
+# Largest dense int32 distance matrix a ball may ask for: 2 GiB, that is
+# at most 23,170 points.
+MATRIX_BYTE_BUDGET = 2 * 1024**3
+# Most points min_families_exhaustive searches.
+SEARCH_POINT_LIMIT = 24
 
 
 class BallBudgetError(Exception):
@@ -83,8 +90,8 @@ def parse_group_spec(text: str) -> GroupSpec:
 class FiniteMetricSpace:
     """An indexed point set with an eager integer distance matrix.
 
-    Memory is quadratic in the point count; the point budget guards the
-    count, not the matrix, so pick radii accordingly.
+    Memory is quadratic in the point count; cayley_ball refuses a ball
+    whose matrix would exceed MATRIX_BYTE_BUDGET.
     """
 
     def __init__(self, points, dist, label: str):
@@ -97,6 +104,8 @@ class FiniteMetricSpace:
 
     def check_metric(self) -> None:
         """Exhaustive metric axioms check; meant for small test spaces."""
+        import numpy as np
+
         d = self.dist
         n = len(self.points)
         if d.shape != (n, n):
@@ -143,14 +152,11 @@ def cayley_ball(spec: GroupSpec, radius: int, point_budget: int | None = None) -
     the boundary; the label carries a "metric=induced-ball" caveat so
     downstream output stays honest.
     """
-    if radius < 1:
-        raise ValueError(f"radius must be positive, got {radius}")
+    _check_radius(radius)
     budget = _budget(point_budget)
     expected = _ball_count(spec, radius)
-    if expected is not None and expected > budget:
-        raise BallBudgetError(
-            f"{spec} ball of radius {radius} has {expected} points; budget is {budget}"
-        )
+    if expected is not None:
+        _check_ball_size(spec, radius, expected, budget)
     label = f"group={spec} radius={radius}"
     if spec.family == "FreeAbelian":
         points = _abelian_points(spec.rank, radius)
@@ -160,9 +166,43 @@ def cayley_ball(spec: GroupSpec, radius: int, point_budget: int | None = None) -
         dist = _word_matrix(points)
     else:
         points = _heisenberg_points(radius, budget)
+        _check_ball_size(spec, radius, len(points), budget)
         dist = _induced_matrix(points, _heisenberg_neighbors)
         label += " metric=induced-ball"
     return FiniteMetricSpace(points, dist, label)
+
+
+def _check_radius(radius: int) -> None:
+    if radius < 1:
+        raise ValueError(f"radius must be positive, got {radius}")
+
+
+def _check_ball_size(spec: GroupSpec, radius: int, n: int, budget: int) -> None:
+    if n > budget:
+        raise BallBudgetError(f"{spec} ball of radius {radius} has {n} points; budget is {budget}")
+    if 4 * n * n > MATRIX_BYTE_BUDGET:
+        raise BallBudgetError(
+            f"{spec} ball of radius {radius} has {n} points, whose distance matrix"
+            f" needs {4 * n * n} bytes; the limit is {MATRIX_BYTE_BUDGET}"
+        )
+
+
+def check_search_size(spec: GroupSpec, radius: int) -> None:
+    """Refuse a ball too large for min_families_exhaustive before any
+    distance is computed."""
+    _check_radius(radius)
+    n = _ball_count(spec, radius)
+    if n is None:
+        # Heisenberg3: the breadth-first count stops one point past the limit.
+        n = len(_heisenberg_points(radius, SEARCH_POINT_LIMIT))
+    _check_search_points(n)
+
+
+def _check_search_points(n: int) -> None:
+    if n > SEARCH_POINT_LIMIT:
+        raise BallBudgetError(
+            f"exhaustive search is limited to {SEARCH_POINT_LIMIT} points, got {n}"
+        )
 
 
 def _abelian_points(rank: int, r: int) -> list[tuple[int, ...]]:
@@ -179,6 +219,8 @@ def _abelian_points(rank: int, r: int) -> list[tuple[int, ...]]:
 
 
 def _l1_matrix(points) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(points, dtype=np.int32)
     n = len(points)
     dist = np.empty((n, n), dtype=np.int32)
@@ -209,6 +251,8 @@ def _free_words(rank: int, r: int) -> list[tuple[int, ...]]:
 
 
 def _word_matrix(words) -> np.ndarray:
+    import numpy as np
+
     n = len(words)
     dist = np.zeros((n, n), dtype=np.int32)
     for i in range(n):
@@ -258,6 +302,8 @@ def _heisenberg_points(r: int, budget: int) -> list[tuple[int, int, int]]:
 
 
 def _induced_matrix(points, neighbors) -> np.ndarray:
+    import numpy as np
+
     index = {p: i for i, p in enumerate(points)}
     adj: list[list[int]] = [
         [index[q] for q in neighbors(p) if q in index] for p in points
@@ -326,6 +372,8 @@ def brick_cover(n: int, D: int, radius: int, point_budget: int | None = None) ->
         raise ValueError(f"brick covers support ranks 1..3, got {n}")
     if D < 1:
         raise ValueError(f"separation D must be positive, got {D}")
+    import numpy as np
+
     space = cayley_ball(GroupSpec("FreeAbelian", n), radius, point_budget)
     T = D + 1
     S = 2 * (n + 1) * T
@@ -354,6 +402,8 @@ def verify_cover(witness: CoverWitness) -> CoverReport:
     Violations name the family/subset pair and the offending distance; the
     verdict is data, not an exception.
     """
+    import numpy as np
+
     space = witness.space
     n = len(space)
     violations: list[str] = []
@@ -430,12 +480,13 @@ def min_families_exhaustive(
     gets too wide.
     """
     n = len(space)
-    if n > 24:
-        raise BallBudgetError(f"exhaustive search is limited to 24 points, got {n}")
+    _check_search_points(n)
     if not 1 <= k_max <= 4:
         raise ValueError(f"k_max must be 1..4, got {k_max}")
     if D < 1 or B < 1:
         raise ValueError("D and B must be positive")
+    import numpy as np
+
     dist = space.dist
     near = [[j for j in range(n) if j != i and dist[i, j] <= D] for i in range(n)]
 

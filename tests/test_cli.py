@@ -1,14 +1,22 @@
 """End-to-end command-line behavior, run in-process through main()."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES, GOLDEN
 
+import asdimlab.coarse
 import asdimlab.engine
 from asdimlab.bounds import InconsistentBoundError
 from asdimlab.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -179,6 +187,86 @@ def test_cover_search_budget_exit(capsys):
     )
     assert code == 2
     assert "24 points" in err
+
+
+def _refuse(*args):
+    raise AssertionError("ball was built past its budget")
+
+
+def test_cover_search_refuses_a_large_ball_before_building_it(capsys, monkeypatch):
+    monkeypatch.setattr(asdimlab.coarse, "_l1_matrix", _refuse)
+    code, out, err = run(
+        capsys, "cover", "search", "--group", "FreeAbelian(2)", "--radius", "100",
+        "-D", "1", "-B", "2",
+    )
+    assert code == 2 and out == ""
+    assert "24 points" in err
+
+
+def test_cover_verify_refuses_a_label_whose_matrix_is_too_large(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(asdimlab.coarse, "_abelian_points", _refuse)
+    monkeypatch.setattr(asdimlab.coarse, "_l1_matrix", _refuse)
+    target = tmp_path / "w.txt"
+    target.write_text("coarse-witness v1\ngroup=FreeAbelian(2) radius=315\nD 1\nB 0\n0:0 0\n")
+    code, out, err = run(capsys, "cover", "verify", str(target))
+    assert code == 2 and out == ""
+    assert "distance matrix" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cover", "build", "--rank", "1", "-D", "2", "--radius", "8"),
+        ("cover", "search", "--group", "FreeAbelian(1)", "--radius", "4", "-D", "1", "-B", "8"),
+    ],
+    ids=["build", "search"],
+)
+def test_cover_output_write_error_is_exit_2(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "w.txt"
+    code, out, err = run(capsys, *argv, "-o", str(target))
+    assert code == 2
+    assert "wrote" not in out
+    assert err.startswith(f"{target}: error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+# Runs commands in a fresh interpreter and reports, after each, its exit
+# code, its stdout and which of the lazily imported modules are loaded.
+_FRESH_CHILD = """
+import contextlib, io, sys
+from asdimlab.cli import main
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue(), [m for m in ("numpy", "hashlib", "json") if m in sys.modules]
+
+print(repr([run(argv) for argv in ARGVS]))
+"""
+
+
+def test_only_the_coarse_lab_loads_numpy():
+    argvs = [
+        ["bound", str(FIXTURES / "d3_h3.mfd")],
+        ["bound", str(FIXTURES / "bad" / "dim5.mfd")],
+        ["catalog", "--dim", "3"],
+        ["cover", "search", "--group", "FreeAbelian(1)", "--radius", "4", "-D", "2", "-B", "3"],
+    ]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_CHILD.replace("ARGVS", repr(argvs))],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    bound, bad, catalog, search = ast.literal_eval(proc.stdout)
+    assert bound[0] == 0 and "bound: 3..3" in bound[1] and bound[2] == []
+    assert bad[0] == 2 and bad[2] == []
+    assert catalog[0] == 0 and catalog[1].startswith("S3") and catalog[2] == []
+    assert search[:2] == (0, "k=2\n") and "numpy" in search[2]
 
 
 def test_inconsistent_bound_maps_to_exit_3(capsys, monkeypatch):

@@ -10,7 +10,9 @@ import itertools
 import numpy as np
 import pytest
 
+from asdimlab import coarse
 from asdimlab.coarse import (
+    MATRIX_BYTE_BUDGET,
     BallBudgetError,
     CoverWitness,
     FiniteMetricSpace,
@@ -18,6 +20,7 @@ from asdimlab.coarse import (
     WitnessFormatError,
     brick_cover,
     cayley_ball,
+    check_search_size,
     format_witness,
     min_families_exhaustive,
     parse_group_spec,
@@ -126,6 +129,47 @@ def test_budget_env_var(monkeypatch):
         cayley_ball(GroupSpec("FreeAbelian", 1), 30)
     monkeypatch.setenv("ASDIMLAB_POINT_BUDGET", "200")
     assert len(cayley_ball(GroupSpec("FreeAbelian", 1), 30)) == 61
+
+
+def _refuse(*args):
+    raise AssertionError("ball was built past its budget")
+
+
+def test_matrix_byte_budget_refuses_before_building(monkeypatch):
+    # 2 GiB holds the matrix of 23,170 points, not of 23,171.
+    assert MATRIX_BYTE_BUDGET == 2 * 1024**3
+    assert 4 * 23_170**2 <= MATRIX_BYTE_BUDGET < 4 * 23_171**2
+    for name in ("_abelian_points", "_l1_matrix", "_free_words", "_word_matrix"):
+        monkeypatch.setattr(coarse, name, _refuse)
+    # 199,081 points fit the point budget, but their matrix would take 158 GB.
+    with pytest.raises(BallBudgetError, match="199081 points"):
+        cayley_ball(GroupSpec("FreeAbelian", 2), 315)
+    with pytest.raises(BallBudgetError, match="118097 points"):
+        cayley_ball(GroupSpec("FreeGroup", 2), 10)
+
+
+def test_matrix_byte_budget_counts_heisenberg_points(monkeypatch):
+    monkeypatch.setattr(coarse, "MATRIX_BYTE_BUDGET", 4 * 30 * 30)
+    monkeypatch.setattr(coarse, "_induced_matrix", _refuse)
+    with pytest.raises(BallBudgetError, match="distance matrix"):
+        cayley_ball(GroupSpec("Heisenberg3"), 3)
+
+
+def test_search_size_is_checked_before_any_distance(monkeypatch):
+    for name in ("_l1_matrix", "_word_matrix", "_induced_matrix"):
+        monkeypatch.setattr(coarse, name, _refuse)
+    for spec, radius in (
+        (GroupSpec("FreeAbelian", 2), 3),  # 25 points, one too many
+        (GroupSpec("FreeAbelian", 3), 300),
+        (GroupSpec("FreeGroup", 2), 3),
+        (GroupSpec("Heisenberg3"), 1_000),
+    ):
+        with pytest.raises(BallBudgetError, match="24 points"):
+            check_search_size(spec, radius)
+    for spec, radius in ((GroupSpec("FreeAbelian", 1), 11), (GroupSpec("Heisenberg3"), 2)):
+        check_search_size(spec, radius)
+    with pytest.raises(ValueError):
+        check_search_size(GroupSpec("Heisenberg3"), -1)
 
 
 def test_radius_must_be_positive():
