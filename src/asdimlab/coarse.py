@@ -12,6 +12,7 @@ Everything here is a fixed-scale experiment: a witness certifies one
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -166,7 +167,6 @@ def cayley_ball(spec: GroupSpec, radius: int, point_budget: int | None = None) -
         dist = _word_matrix(points)
     else:
         points = _heisenberg_points(radius, budget)
-        _check_ball_size(spec, radius, len(points), budget)
         dist = _induced_matrix(points, _heisenberg_neighbors)
         label += " metric=induced-ball"
     return FiniteMetricSpace(points, dist, label)
@@ -219,17 +219,25 @@ def _abelian_points(rank: int, r: int) -> list[tuple[int, ...]]:
 
 
 def _l1_matrix(points) -> np.ndarray:
+    """L1 distances, built one coordinate at a time in blocks of 256 rows,
+    so the only temporary besides the result is one (256, n) buffer."""
     import numpy as np
 
-    arr = np.asarray(points, dtype=np.int32)
-    n = len(points)
+    axes = np.ascontiguousarray(np.asarray(points, dtype=np.int32).T)
+    n = axes.shape[1]
     dist = np.empty((n, n), dtype=np.int32)
+    buf = np.empty((min(n, 256), n), dtype=np.int32)
     for start in range(0, n, 256):
-        block = arr[start : start + 256]
-        dist[start : start + 256] = np.abs(block[:, None, :] - arr[None, :, :]).sum(
-            axis=2, dtype=np.int32
-        )
+        rows = dist[start : start + 256]
+        np.subtract(axes[0, start : start + 256, None], axes[0], out=rows)
+        np.abs(rows, out=rows)
+        part = buf[: len(rows)]
+        for axis in axes[1:]:
+            np.subtract(axis[start : start + 256, None], axis, out=part)
+            np.abs(part, out=part)
+            rows += part
     return dist
+
 
 _LETTER_ORDER = {1: 0, -1: 1, 2: 2, -2: 3}
 
@@ -251,22 +259,42 @@ def _free_words(rank: int, r: int) -> list[tuple[int, ...]]:
 
 
 def _word_matrix(words) -> np.ndarray:
+    """Free-group distances len(u) + len(v) - 2 * (common prefix length).
+
+    words must come in breadth-first order, as _free_words lists them, and
+    hold every prefix of every word.  Two words share their prefix of
+    length d exactly when they share the ancestor at depth d, so the common
+    prefix length counts the depths at which the ancestors agree.  The
+    depths are walked from the longest word down, each over the words at
+    least that long, in blocks of 256 rows.
+    """
     import numpy as np
 
     n = len(words)
+    index = {w: i for i, w in enumerate(words)}
+    lengths = np.array([len(w) for w in words], dtype=np.int32)
+    parent = np.array([index[w[:-1]] if w else 0 for w in words], dtype=np.intp)
+    # dist first holds minus the common prefix length; ancestor[i] is the
+    # index of words[i]'s prefix at the current depth, for every word at
+    # least that long.
     dist = np.zeros((n, n), dtype=np.int32)
-    for i in range(n):
-        u = words[i]
-        for j in range(i + 1, n):
-            v = words[j]
-            lcp = 0
-            for a, b in zip(u, v):
-                if a != b:
-                    break
-                lcp += 1
-            d = len(u) + len(v) - 2 * lcp
-            dist[i, j] = d
-            dist[j, i] = d
+    ancestor = np.arange(n, dtype=np.intp)
+    same = np.empty((min(n, 256), n), dtype=bool)
+    for depth in range(int(lengths.max(initial=0)), 0, -1):
+        first = int(np.searchsorted(lengths, depth))
+        deep = ancestor[first:]
+        for start in range(first, n, 256):
+            rows = deep[start - first : start - first + 256]
+            hit = same[: len(rows), : len(deep)]
+            np.equal(rows[:, None], deep, out=hit)
+            block = dist[start : start + 256, first:]
+            np.subtract(block, hit, out=block)
+        ancestor[first:] = parent[deep]
+    for start in range(0, n, 256):
+        rows = dist[start : start + 256]
+        rows *= 2
+        rows += lengths[start : start + 256, None]
+        rows += lengths
     return dist
 
 
@@ -283,6 +311,15 @@ def _heisenberg_neighbors(p: tuple[int, int, int]):
 
 
 def _heisenberg_points(r: int, budget: int) -> list[tuple[int, int, int]]:
+    """The radius-r ball, sorted by word length and then coordinates.
+
+    There is no closed-form count, so the breadth-first search itself
+    stops one point past the point budget or past the most points whose
+    distance matrix fits MATRIX_BYTE_BUDGET, whichever is smaller, and
+    raises BallBudgetError naming that limit.
+    """
+    matrix_limit = math.isqrt(MATRIX_BYTE_BUDGET // 4)
+    limit = min(budget, matrix_limit)
     lengths = {(0, 0, 0): 0}
     frontier = deque([(0, 0, 0)])
     while frontier:
@@ -292,9 +329,14 @@ def _heisenberg_points(r: int, budget: int) -> list[tuple[int, int, int]]:
         for q in _heisenberg_neighbors(p):
             if q not in lengths:
                 lengths[q] = lengths[p] + 1
-                if len(lengths) > budget:
+                if len(lengths) > limit:
+                    if limit == budget:
+                        raise BallBudgetError(
+                            f"Heisenberg3 ball of radius {r} exceeds the budget of {budget} points"
+                        )
                     raise BallBudgetError(
-                        f"Heisenberg3 ball of radius {r} exceeds the budget of {budget} points"
+                        f"Heisenberg3 ball of radius {r} has more than {limit} points, whose"
+                        f" distance matrix would exceed the limit of {MATRIX_BYTE_BUDGET} bytes"
                     )
                 frontier.append(q)
     pts = sorted(lengths, key=lambda p: (lengths[p], p))
@@ -302,26 +344,40 @@ def _heisenberg_points(r: int, budget: int) -> list[tuple[int, int, int]]:
 
 
 def _induced_matrix(points, neighbors) -> np.ndarray:
+    """Breadth-first distances inside the point set, which must be connected.
+
+    The search runs level by level from 256 sources at once, one column
+    per source.  Each level gathers the frontier through an (n, k) array
+    of neighbour indices, in which a neighbour outside the set stands in as
+    the point itself; the adjacency is symmetric, so a point joins the next
+    level when one of its neighbours is on the current one.
+    """
     import numpy as np
 
     index = {p: i for i, p in enumerate(points)}
-    adj: list[list[int]] = [
-        [index[q] for q in neighbors(p) if q in index] for p in points
-    ]
+    adj = np.array(
+        [[index.get(q, i) for q in neighbors(p)] for i, p in enumerate(points)],
+        dtype=np.intp,
+    )
     n = len(points)
-    dist = np.full((n, n), -1, dtype=np.int32)
-    for src in range(n):
-        row = dist[src]
-        row[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if row[w] < 0:
-                    row[w] = row[u] + 1
-                    queue.append(w)
-    if np.any(dist < 0):
-        raise AssertionError("induced ball is disconnected")
+    dist = np.empty((n, n), dtype=np.int32)
+    for start in range(0, n, 256):
+        sources = np.arange(min(256, n - start))
+        cols = np.full((n, len(sources)), -1, dtype=np.int32)
+        cols[start + sources, sources] = 0
+        frontier = cols == 0
+        level = 0
+        while frontier.any():
+            level += 1
+            reached = frontier[adj[:, 0]]
+            for k in range(1, adj.shape[1]):
+                reached |= frontier[adj[:, k]]
+            reached &= cols < 0
+            cols[reached] = level
+            frontier = reached
+        if np.any(cols < 0):
+            raise AssertionError("induced ball is disconnected")
+        dist[start : start + len(sources)] = cols.T
     return dist
 
 
@@ -430,19 +486,45 @@ def verify_cover(witness: CoverWitness) -> CoverReport:
         clean = [(s, subset) for s, subset in clean if subset]
         for _, subset in clean:
             recomputed = max(recomputed, int(space.dist[np.ix_(subset, subset)].max()))
-        for a in range(len(clean)):
-            for b in range(a + 1, len(clean)):
-                s, left = clean[a]
-                t, right = clean[b]
-                gap = int(space.dist[np.ix_(left, right)].min())
-                if gap <= witness.D:
-                    violations.append(
-                        f"family {f}: subsets {s} and {t} are at distance {gap},"
-                        f" need more than D={witness.D}"
-                    )
+        for a, b in _close_pairs(space.dist, [subset for _, subset in clean], witness.D):
+            s, left = clean[a]
+            t, right = clean[b]
+            gap = int(space.dist[np.ix_(left, right)].min())
+            violations.append(
+                f"family {f}: subsets {s} and {t} are at distance {gap},"
+                f" need more than D={witness.D}"
+            )
     if recomputed != witness.B:
         violations.append(f"recorded B={witness.B} but recomputed B={recomputed}")
     return CoverReport(valid=not violations, violations=violations)
+
+
+def _close_pairs(dist: np.ndarray, subsets: list[list[int]], D: int) -> list[tuple[int, int]]:
+    """Sorted position pairs (a, b), a < b, of subsets that come within D.
+
+    Every member is labelled with its subset's position, and blocks of 256
+    member rows are compared with the members of later subsets only, so no
+    temporary is larger than 256 rows of the family.
+    """
+    import numpy as np
+
+    if len(subsets) < 2:
+        return []
+    members = np.concatenate([np.asarray(subset, dtype=np.intp) for subset in subsets])
+    labels = np.repeat(np.arange(len(subsets)), [len(subset) for subset in subsets])
+    codes = []
+    for start in range(0, len(members), 256):
+        rows = members[start : start + 256]
+        row_labels = labels[start : start + 256]
+        later = int(np.searchsorted(labels, row_labels[0], side="right"))
+        close = dist[np.ix_(rows, members[later:])] <= D
+        close &= row_labels[:, None] < labels[later:]
+        if close.any():
+            r, c = np.nonzero(close)
+            codes.append(row_labels[r] * len(subsets) + labels[later + c])
+    if not codes:
+        return []
+    return [divmod(int(code), len(subsets)) for code in np.unique(np.concatenate(codes))]
 
 
 @dataclass
@@ -485,10 +567,8 @@ def min_families_exhaustive(
         raise ValueError(f"k_max must be 1..4, got {k_max}")
     if D < 1 or B < 1:
         raise ValueError("D and B must be positive")
-    import numpy as np
-
-    dist = space.dist
-    near = [[j for j in range(n) if j != i and dist[i, j] <= D] for i in range(n)]
+    dist = space.dist.tolist()
+    near = [[j for j in range(n) if j != i and dist[i][j] <= D] for i in range(n)]
 
     def component_ok(colors: list[int], i: int, c: int) -> bool:
         members = {j for j in range(i) if colors[j] == c}
@@ -504,7 +584,7 @@ def min_families_exhaustive(
                     comp.append(w)
         for a in range(len(comp)):
             for b in range(a + 1, len(comp)):
-                if dist[comp[a], comp[b]] > B:
+                if dist[comp[a]][comp[b]] > B:
                     return False
         return True
 
@@ -549,7 +629,7 @@ def min_families_exhaustive(
         actual_b = 0
         for family in families:
             for subset in family:
-                actual_b = max(actual_b, int(dist[np.ix_(subset, subset)].max()))
+                actual_b = max(actual_b, max(dist[a][b] for a in subset for b in subset))
         return SearchResult(k, CoverWitness(space, families, D, actual_b))
     return SearchResult(None, None)
 

@@ -6,6 +6,9 @@ paths, brute-force colorings) rather than against the module itself.
 """
 
 import itertools
+import random
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -155,6 +158,23 @@ def test_matrix_byte_budget_counts_heisenberg_points(monkeypatch):
         cayley_ball(GroupSpec("Heisenberg3"), 3)
 
 
+def test_heisenberg_ball_past_the_matrix_limit_stops_at_once(monkeypatch):
+    calls = []
+    real = coarse._heisenberg_neighbors
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(coarse, "_heisenberg_neighbors", counted)
+    monkeypatch.setattr(coarse, "_induced_matrix", _refuse)
+    # The default point budget of 200,000 is larger than the 23,170 points
+    # a distance matrix may hold, so the matrix limit is the one named.
+    with pytest.raises(BallBudgetError, match="distance matrix"):
+        cayley_ball(GroupSpec("Heisenberg3"), 40)
+    assert 0 < len(calls) <= 23_171
+
+
 def test_search_size_is_checked_before_any_distance(monkeypatch):
     for name in ("_l1_matrix", "_word_matrix", "_induced_matrix"):
         monkeypatch.setattr(coarse, name, _refuse)
@@ -170,6 +190,94 @@ def test_search_size_is_checked_before_any_distance(monkeypatch):
         check_search_size(spec, radius)
     with pytest.raises(ValueError):
         check_search_size(GroupSpec("Heisenberg3"), -1)
+
+
+# Independent definitions of the three metrics, entry by entry.
+
+
+def _l1_reference(points):
+    return [[sum(abs(a - b) for a, b in zip(p, q)) for q in points] for p in points]
+
+
+def _lcp(u, v):
+    common = 0
+    for a, b in zip(u, v):
+        if a != b:
+            break
+        common += 1
+    return common
+
+
+def _word_reference(words):
+    return [[len(u) + len(v) - 2 * _lcp(u, v) for v in words] for u in words]
+
+
+def _induced_reference(points, neighbors):
+    index = {p: i for i, p in enumerate(points)}
+    rows = []
+    for src in range(len(points)):
+        row = [-1] * len(points)
+        row[src] = 0
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for q in neighbors(points[u]):
+                w = index.get(q)
+                if w is not None and row[w] < 0:
+                    row[w] = row[u] + 1
+                    queue.append(w)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "spec,radius",
+    [
+        (GroupSpec("FreeAbelian", 1), 40),
+        (GroupSpec("FreeAbelian", 2), 7),
+        (GroupSpec("FreeAbelian", 3), 4),
+        (GroupSpec("FreeGroup", 1), 200),
+        (GroupSpec("FreeGroup", 2), 5),
+        (GroupSpec("Heisenberg3"), 5),
+    ],
+)
+def test_matrix_builders_match_their_definitions(spec, radius):
+    points = cayley_ball(spec, radius).points
+    if spec.family == "FreeAbelian":
+        got, want = coarse._l1_matrix(points), _l1_reference(points)
+    elif spec.family == "FreeGroup":
+        got, want = coarse._word_matrix(points), _word_reference(points)
+    else:
+        neighbors = coarse._heisenberg_neighbors
+        got, want = coarse._induced_matrix(points, neighbors), _induced_reference(points, neighbors)
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == np.int32
+    assert got.shape == (len(points), len(points))
+    assert got.tolist() == want
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_builders_and_verify_allocate_no_square_temporary():
+    for spec, radius in (
+        (GroupSpec("FreeAbelian", 2), 36),
+        (GroupSpec("FreeGroup", 2), 6),
+        (GroupSpec("Heisenberg3"), 7),
+    ):
+        ball, peak = _traced_peak(lambda: cayley_ball(spec, radius))
+        matrix = ball.dist.nbytes
+        assert peak <= matrix + max(16 * 2**20, matrix // 4), (str(spec), peak, matrix)
+    witness = brick_cover(2, 2, 28)
+    report, peak = _traced_peak(lambda: verify_cover(witness))
+    assert report.valid
+    assert peak < witness.space.dist.nbytes // 4, peak
 
 
 def test_radius_must_be_positive():
@@ -450,3 +558,102 @@ def test_witness_family_indices_must_increase_and_stay_in_range():
         with pytest.raises(WitnessFormatError) as info:
             parse_witness(head + body)
         assert info.value.line == lineno, body
+
+
+def _literal_violations(witness):
+    """verify_cover's three conditions and its B check, read pair by pair."""
+    space, D = witness.space, witness.D
+    n = len(space)
+    out = []
+    covered = set()
+    for f, family in enumerate(witness.families):
+        for s, subset in enumerate(family):
+            if not subset:
+                out.append(f"family {f} subset {s} is empty")
+                continue
+            for i in subset:
+                if not 0 <= i < n:
+                    out.append(f"family {f} subset {s} references point {i}, outside 0..{n - 1}")
+                else:
+                    covered.add(i)
+    out.extend(f"point {i} at {space.points[i]} is uncovered" for i in range(n) if i not in covered)
+    diameter = 0
+    for f, family in enumerate(witness.families):
+        inside = [(s, [i for i in subset if 0 <= i < n]) for s, subset in enumerate(family)]
+        inside = [(s, subset) for s, subset in inside if subset]
+        for _, subset in inside:
+            diameter = max(diameter, max(int(space.dist[a, b]) for a in subset for b in subset))
+        for (s, left), (t, right) in itertools.combinations(inside, 2):
+            gap = min(int(space.dist[a, b]) for a in left for b in right)
+            if gap <= D:
+                out.append(f"family {f}: subsets {s} and {t} are at distance {gap}, need more than D={D}")
+    if diameter != witness.B:
+        out.append(f"recorded B={witness.B} but recomputed B={diameter}")
+    return out
+
+
+def _random_witness(rng, space):
+    """A cover made of the components of a random coloring, then perhaps
+    spoiled: a point dropped, an index out of range, an empty subset, a
+    point shared by two subsets of one family, a component split in two
+    (whose halves are at most D apart), or a wrong B."""
+    n = len(space)
+    D = rng.randint(1, 3)
+    k = rng.randint(1, 4)
+    colors = [rng.randrange(k) for _ in range(n)]
+    families = []
+    for c in range(k):
+        left = [i for i in range(n) if colors[i] == c]
+        subsets = []
+        while left:
+            comp, left = [left[0]], left[1:]
+            for u in comp:
+                close = [w for w in left if space.dist[u, w] <= D]
+                comp += close
+                left = [w for w in left if w not in close]
+            subsets.append(sorted(comp))
+        rng.shuffle(subsets)
+        families.append(subsets)
+    B = max(int(space.dist[a, b]) for fam in families for sub in fam for a in sub for b in sub)
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        family = rng.choice(families)
+        spoil = rng.randrange(6)
+        if spoil == 0 and family and len(family[0]) > 1:
+            family[0].pop(rng.randrange(len(family[0])))
+        elif spoil == 1 and family:
+            rng.choice(family).append(rng.choice((-1, n, n + 7)))
+        elif spoil == 2:
+            family.insert(rng.randint(0, len(family)), [])
+        elif spoil == 3 and len(family) > 1:
+            a, b = rng.sample(range(len(family)), 2)
+            if family[a]:
+                family[b].append(rng.choice(family[a]))
+        elif spoil == 4 and family and len(family[-1]) > 1:
+            cut = rng.randint(1, len(family[-1]) - 1)
+            family.append(family[-1][cut:])
+            del family[-2][cut:]
+        else:
+            B += rng.choice((-1, 1, 2))
+    return CoverWitness(space, families, D, B)
+
+
+KINDS = ("empty", "outside", "uncovered", "distance 0,", "distance 1,", "recomputed")
+
+
+def test_verify_cover_matches_the_literal_pairwise_reading():
+    rng = random.Random(20_240_105)
+    spaces = [
+        cayley_ball(GroupSpec("FreeAbelian", 2), 3),
+        cayley_ball(GroupSpec("FreeGroup", 2), 2),
+        cayley_ball(GroupSpec("Heisenberg3"), 2),
+    ]
+    kinds = set()
+    for _ in range(200):
+        witness = _random_witness(rng, rng.choice(spaces))
+        want = _literal_violations(witness)
+        report = verify_cover(witness)
+        assert report.violations == want, witness.families
+        assert report.valid == (not want)
+        kinds.update(kind for kind in KINDS if any(kind in v for v in want))
+        kinds.add("valid" if not want else "invalid")
+    assert {"valid", "invalid", *KINDS} <= kinds
