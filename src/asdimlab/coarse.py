@@ -318,8 +318,7 @@ def _heisenberg_points(r: int, budget: int) -> list[tuple[int, int, int]]:
     distance matrix fits MATRIX_BYTE_BUDGET, whichever is smaller, and
     raises BallBudgetError naming that limit.
     """
-    matrix_limit = math.isqrt(MATRIX_BYTE_BUDGET // 4)
-    limit = min(budget, matrix_limit)
+    limit = min(budget, math.isqrt(MATRIX_BYTE_BUDGET // 4))
     lengths = {(0, 0, 0): 0}
     frontier = deque([(0, 0, 0)])
     while frontier:
