@@ -129,19 +129,27 @@ def _budget(override: int | None) -> int:
     return int(os.environ.get(_BUDGET_ENV, str(DEFAULT_POINT_BUDGET)))
 
 
-def _ball_count(spec: GroupSpec, r: int) -> int | None:
-    """Closed-form point count where one exists (None for Heisenberg3)."""
-    if spec.family == "FreeAbelian":
-        if spec.rank == 1:
-            return 2 * r + 1
-        if spec.rank == 2:
-            return 2 * r * r + 2 * r + 1
-        return (4 * r**3 + 6 * r**2 + 8 * r + 3) // 3
-    if spec.family == "FreeGroup":
-        if spec.rank == 1:
-            return 2 * r + 1
-        return 2 * 3**r - 1
-    return None
+def _ball_count(spec: GroupSpec, r: int, limit: int) -> int | None:
+    """Closed-form point count, or limit + 1 when it is larger than limit
+    (None for Heisenberg3, which has no closed form).
+
+    Every ball of radius r holds the 2r + 1 powers of one generator, and a
+    FreeGroup(2) ball more than 2**r words, so a huge radius is refused
+    without forming a huge count.
+    """
+    if spec.family == "Heisenberg3":
+        return None
+    if 2 * r + 1 > limit:
+        return limit + 1
+    if spec.rank == 1:
+        count = 2 * r + 1
+    elif spec.family == "FreeGroup":
+        count = 2 * 3**r - 1 if r < limit.bit_length() else limit + 1
+    elif spec.rank == 2:
+        count = 2 * r * r + 2 * r + 1
+    else:
+        count = (4 * r**3 + 6 * r**2 + 8 * r + 3) // 3
+    return min(count, limit + 1)
 
 
 def cayley_ball(spec: GroupSpec, radius: int, point_budget: int | None = None) -> FiniteMetricSpace:
@@ -155,7 +163,7 @@ def cayley_ball(spec: GroupSpec, radius: int, point_budget: int | None = None) -
     """
     _check_radius(radius)
     budget = _budget(point_budget)
-    expected = _ball_count(spec, radius)
+    expected = _ball_count(spec, radius, budget)
     if expected is not None:
         _check_ball_size(spec, radius, expected, budget)
     label = f"group={spec} radius={radius}"
@@ -179,7 +187,9 @@ def _check_radius(radius: int) -> None:
 
 def _check_ball_size(spec: GroupSpec, radius: int, n: int, budget: int) -> None:
     if n > budget:
-        raise BallBudgetError(f"{spec} ball of radius {radius} has {n} points; budget is {budget}")
+        raise BallBudgetError(
+            f"{spec} ball of radius {radius} has more than {budget} points, the point budget"
+        )
     if 4 * n * n > MATRIX_BYTE_BUDGET:
         raise BallBudgetError(
             f"{spec} ball of radius {radius} has {n} points, whose distance matrix"
@@ -191,11 +201,15 @@ def check_search_size(spec: GroupSpec, radius: int) -> None:
     """Refuse a ball too large for min_families_exhaustive before any
     distance is computed."""
     _check_radius(radius)
-    n = _ball_count(spec, radius)
+    n = _ball_count(spec, radius, SEARCH_POINT_LIMIT)
     if n is None:
-        # Heisenberg3: the breadth-first count stops one point past the limit.
-        n = len(_heisenberg_points(radius, SEARCH_POINT_LIMIT))
-    _check_search_points(n)
+        # Heisenberg3: the breadth-first search refuses past the limit.
+        _heisenberg_points(radius, SEARCH_POINT_LIMIT)
+    elif n > SEARCH_POINT_LIMIT:
+        raise BallBudgetError(
+            f"exhaustive search is limited to {SEARCH_POINT_LIMIT} points;"
+            f" the {spec} ball of radius {radius} has more"
+        )
 
 
 def _check_search_points(n: int) -> None:
@@ -445,8 +459,7 @@ def brick_cover(n: int, D: int, radius: int, point_budget: int | None = None) ->
     B = 0
     for family in families:
         for subset in family:
-            sub = space.dist[np.ix_(subset, subset)]
-            B = max(B, int(sub.max()))
+            B = max(B, _block_reduce(np.maximum, space.dist, subset, subset))
     assert B <= 2 * n * (n + 1) * (D + 1), "brick diameter exceeded its proven bound"
     return CoverWitness(space, families, D, B)
 
@@ -484,11 +497,11 @@ def verify_cover(witness: CoverWitness) -> CoverReport:
         ]
         clean = [(s, subset) for s, subset in clean if subset]
         for _, subset in clean:
-            recomputed = max(recomputed, int(space.dist[np.ix_(subset, subset)].max()))
+            recomputed = max(recomputed, _block_reduce(np.maximum, space.dist, subset, subset))
         for a, b in _close_pairs(space.dist, [subset for _, subset in clean], witness.D):
             s, left = clean[a]
             t, right = clean[b]
-            gap = int(space.dist[np.ix_(left, right)].min())
+            gap = _block_reduce(np.minimum, space.dist, left, right)
             violations.append(
                 f"family {f}: subsets {s} and {t} are at distance {gap},"
                 f" need more than D={witness.D}"
@@ -496,6 +509,19 @@ def verify_cover(witness: CoverWitness) -> CoverReport:
     if recomputed != witness.B:
         violations.append(f"recorded B={witness.B} but recomputed B={recomputed}")
     return CoverReport(valid=not violations, violations=violations)
+
+
+def _block_reduce(ufunc: np.ufunc, dist: np.ndarray, rows: list[int], cols: list[int]) -> int:
+    """The maximum (ufunc np.maximum) or minimum (np.minimum) of dist over
+    rows x cols, both nonempty, kept as a running value over blocks of 256
+    rows, so no temporary is larger than 256 x len(cols)."""
+    import numpy as np
+
+    result = ufunc.reduce(dist[np.ix_(rows[:256], cols)], axis=None)
+    for start in range(256, len(rows), 256):
+        block = dist[np.ix_(rows[start : start + 256], cols)]
+        result = ufunc(result, ufunc.reduce(block, axis=None))
+    return int(result)
 
 
 def _close_pairs(dist: np.ndarray, subsets: list[list[int]], D: int) -> list[tuple[int, int]]:
@@ -529,10 +555,13 @@ def _close_pairs(dist: np.ndarray, subsets: list[list[int]], D: int) -> list[tup
 @dataclass
 class SearchResult:
     """Outcome of the exhaustive minimal-family search: k is None when no
-    cover with at most k_max families exists."""
+    cover with at most k_max families exists.  nodes counts the partial
+    colorings the depth-first search entered, summed over every k it
+    tried; it is 0 when the clique bound alone decides."""
 
     k: int | None
     witness: CoverWitness | None
+    nodes: int
 
 
 def min_families_exhaustive(
@@ -559,6 +588,21 @@ def min_families_exhaustive(
     point order (first point pinned to family 0, new families introduced in
     order), pruning as soon as the component swallowing the newest point
     gets too wide.
+
+    Why the clique bound holds: two points at distance in (B, D] that
+    share a family share a component, which is then wider than B, so they
+    lie in different families.  A clique of this conflict graph therefore
+    needs one family per point.  A clique is grown greedily from every
+    point, and the size lo of the largest lets the search skip every
+    k < lo and answer k=None at once when lo > k_max.  The first k tried
+    that succeeds is still the minimum, so the witness has exactly k
+    families.
+
+    Points and families are bitmasks: near[i] holds the other points within
+    D of point i, far[i] the points more than B away, and members[c] the
+    points placed in family c.  Point i joins family c when the component
+    flooded from it through near and members[c] holds no point v with
+    far[v] inside the component.
     """
     n = len(space)
     _check_search_points(n)
@@ -567,70 +611,92 @@ def min_families_exhaustive(
     if D < 1 or B < 1:
         raise ValueError("D and B must be positive")
     dist = space.dist.tolist()
-    near = [[j for j in range(n) if j != i and dist[i][j] <= D] for i in range(n)]
+    near = [0] * n
+    far = [0] * n
+    for i, row in enumerate(dist):
+        for j, d in enumerate(row):
+            if d <= D and j != i:
+                near[i] |= 1 << j
+            if d > B:
+                far[i] |= 1 << j
+    lo = _greedy_clique([a & b for a, b in zip(near, far)])
+    nodes = 0
 
-    def component_ok(colors: list[int], i: int, c: int) -> bool:
-        members = {j for j in range(i) if colors[j] == c}
-        comp = [i]
-        seen = {i}
-        pos = 0
-        while pos < len(comp):
-            u = comp[pos]
-            pos += 1
-            for w in near[u]:
-                if w in members and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-        for a in range(len(comp)):
-            for b in range(a + 1, len(comp)):
-                if dist[comp[a]][comp[b]] > B:
-                    return False
+    def thin(comp: int) -> bool:
+        rest = comp
+        while rest:
+            low = rest & -rest
+            if far[low.bit_length() - 1] & comp:
+                return False
+            rest ^= low
         return True
 
     def solve(k: int) -> list[int] | None:
-        colors = [-1] * n
+        members = [0] * k
 
-        def dfs(i: int, used: int) -> bool:
+        def place(i: int, used: int) -> bool:
+            nonlocal nodes
+            nodes += 1
             if i == n:
                 return True
+            bit = 1 << i
             for c in range(min(used + 1, k)):
-                colors[i] = c
-                if component_ok(colors, i, c) and dfs(i + 1, max(used, c + 1)):
-                    return True
-            colors[i] = -1
+                grown = members[c] | bit
+                if thin(_flood(near, bit, grown)):
+                    members[c] = grown
+                    if place(i + 1, max(used, c + 1)):
+                        return True
+                    members[c] ^= bit
             return False
 
-        return list(colors) if n == 0 or dfs(0, 0) else None
+        return members if place(0, 0) else None
 
-    for k in range(1, k_max + 1):
-        colors = solve(k)
-        if colors is None:
+    for k in range(max(lo, 1), k_max + 1):
+        members = solve(k)
+        if members is None:
             continue
         families: list[list[list[int]]] = []
-        for c in range(k):
-            members = [i for i in range(n) if colors[i] == c]
-            remaining = set(members)
+        for pool in members:
             subsets = []
-            while remaining:
-                seed = min(remaining)
-                comp = [seed]
-                remaining.discard(seed)
-                pos = 0
-                while pos < len(comp):
-                    u = comp[pos]
-                    pos += 1
-                    for w in near[u]:
-                        if w in remaining:
-                            remaining.discard(w)
-                            comp.append(w)
-                subsets.append(sorted(comp))
+            while pool:
+                comp = _flood(near, pool & -pool, pool)
+                subsets.append([j for j in range(n) if comp >> j & 1])
+                pool &= ~comp
             families.append(subsets)
-        actual_b = 0
-        for family in families:
-            for subset in family:
-                actual_b = max(actual_b, max(dist[a][b] for a in subset for b in subset))
-        return SearchResult(k, CoverWitness(space, families, D, actual_b))
-    return SearchResult(None, None)
+        actual_b = max(
+            (dist[a][b] for fam in families for subset in fam for a in subset for b in subset),
+            default=0,
+        )
+        return SearchResult(k, CoverWitness(space, families, D, actual_b), nodes)
+    return SearchResult(None, None, nodes)
+
+
+def _flood(near: list[int], start: int, pool: int) -> int:
+    """The bitmask of the component of start (one bit) within pool under
+    the adjacency bitmasks near."""
+    comp = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        grow = near[low.bit_length() - 1] & pool & ~comp
+        comp |= grow
+        frontier |= grow
+    return comp
+
+
+def _greedy_clique(adjacent: list[int]) -> int:
+    """Size of the largest clique among those grown greedily from each
+    vertex of a graph given by adjacency bitmasks, each step adding the
+    lowest-numbered vertex adjacent to the whole clique so far."""
+    best = 0
+    for candidates in adjacent:
+        size = 1
+        while candidates:
+            low = candidates & -candidates
+            candidates &= adjacent[low.bit_length() - 1]
+            size += 1
+        best = max(best, size)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +711,18 @@ def format_witness(witness: CoverWitness) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _natural(text: str) -> int | None:
+    """The value of a decimal numeral, or None.  int() refuses some digits
+    that isdigit() admits, such as superscripts, and numerals longer than
+    its digit limit."""
+    if text.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return None
+
+
 def _parse_label(label: str, lineno: int) -> FiniteMetricSpace:
     tokens = label.split()
     fields = {}
@@ -656,13 +734,18 @@ def _parse_label(label: str, lineno: int) -> FiniteMetricSpace:
     extra = set(fields) - {"group", "radius", "metric"}
     if "group" not in fields or "radius" not in fields or extra:
         raise WitnessFormatError(f"bad space label {label!r}", lineno)
-    if not fields["radius"].isdigit():
+    radius = _natural(fields["radius"])
+    if radius is None:
         raise WitnessFormatError(f"bad radius in label {label!r}", lineno)
     try:
         spec = parse_group_spec(fields["group"])
     except ValueError as exc:
         raise WitnessFormatError(str(exc), lineno) from exc
-    return cayley_ball(spec, int(fields["radius"]))
+    # cayley_ball writes metric=induced-ball into Heisenberg3 labels only;
+    # a Heisenberg3 label may leave the field out.
+    if "metric" in fields and (fields["metric"] != "induced-ball" or spec.family != "Heisenberg3"):
+        raise WitnessFormatError(f"bad metric in label {label!r}", lineno)
+    return cayley_ball(spec, radius)
 
 
 def parse_witness(text: str) -> CoverWitness:
@@ -681,19 +764,20 @@ def parse_witness(text: str) -> CoverWitness:
         raise WitnessFormatError(f"bad header {lines[0]!r}", 1)
     space = _parse_label(lines[1], 2)
     d_line, b_line = lines[2], lines[3]
-    if not d_line.startswith("D ") or not d_line[2:].isdigit() or int(d_line[2:]) < 1:
+    D = _natural(d_line[2:]) if d_line.startswith("D ") else None
+    if D is None or D < 1:
         raise WitnessFormatError(f"bad D line {d_line!r}", 3)
-    if not b_line.startswith("B ") or not b_line[2:].isdigit():
+    B = _natural(b_line[2:]) if b_line.startswith("B ") else None
+    if B is None:
         raise WitnessFormatError(f"bad B line {b_line!r}", 4)
-    D, B = int(d_line[2:]), int(b_line[2:])
     families: list[list[list[int]]] = []
     for offset, line in enumerate(lines[4:]):
         lineno = offset + 5
         head, sep, body = line.partition(" ")
         fam_s, colon, idx_s = head.partition(":")
-        if not sep or not colon or not fam_s.isdigit() or not idx_s.isdigit():
+        fam, idx = _natural(fam_s), _natural(idx_s)
+        if not sep or not colon or fam is None or idx is None:
             raise WitnessFormatError(f"bad subset line {line!r}", lineno)
-        fam, idx = int(fam_s), int(idx_s)
         if fam >= len(families):
             if fam >= len(space):
                 raise WitnessFormatError(
@@ -712,9 +796,9 @@ def parse_witness(text: str) -> CoverWitness:
         subset: list[int] = []
         seen: set[int] = set()
         for piece in body.split(","):
-            if not piece.isdigit():
+            i = _natural(piece)
+            if i is None:
                 raise WitnessFormatError(f"bad point index {piece!r}", lineno)
-            i = int(piece)
             if i >= len(space):
                 raise WitnessFormatError(
                     f"point index {i} out of range for {len(space)}-point space", lineno

@@ -203,6 +203,27 @@ def test_cover_search_refuses_a_large_ball_before_building_it(capsys, monkeypatc
     assert "24 points" in err
 
 
+@pytest.mark.parametrize("radius", ["1000000", "100000000"])
+def test_cover_search_refuses_a_huge_radius_at_once(capsys, radius):
+    code, out, err = run(
+        capsys, "cover", "search", "--group", "FreeGroup(2)", "--radius", radius, "-D", "1", "-B", "2",
+    )
+    assert code == 2 and out == ""
+    assert "24 points" in err
+
+
+def test_cover_verify_refuses_a_huge_label_radius(tmp_path, capsys):
+    target = tmp_path / "w.txt"
+    target.write_text("coarse-witness v1\ngroup=FreeGroup(2) radius=1000000\nD 1\nB 0\n0:0 0\n")
+    code, out, err = run(capsys, "cover", "verify", str(target))
+    assert code == 2 and out == ""
+    assert "more than 200000 points" in err
+    target.write_text("coarse-witness v1\ngroup=FreeGroup(2) radius=" + "1" * 5000 + "\nD 1\nB 0\n0:0 0\n")
+    code, out, err = run(capsys, "cover", "verify", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"{target}:2: error: bad radius")
+
+
 def test_cover_verify_refuses_a_label_whose_matrix_is_too_large(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(asdimlab.coarse, "_abelian_points", _refuse)
     monkeypatch.setattr(asdimlab.coarse, "_l1_matrix", _refuse)

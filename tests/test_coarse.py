@@ -12,6 +12,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asdimlab import coarse
 from asdimlab.coarse import (
@@ -175,6 +177,23 @@ def test_heisenberg_ball_past_the_matrix_limit_stops_at_once(monkeypatch):
     assert 0 < len(calls) <= 23_171
 
 
+def test_huge_radii_are_refused_without_forming_their_count(monkeypatch):
+    for name in ("_abelian_points", "_l1_matrix", "_free_words", "_word_matrix"):
+        monkeypatch.setattr(coarse, name, _refuse)
+    # 3**50_000 and 2 * (10**4000)**2 have far more digits than str() prints.
+    for spec, radius in (
+        (GroupSpec("FreeGroup", 2), 50_000),
+        (GroupSpec("FreeGroup", 2), 10**6),
+        (GroupSpec("FreeGroup", 1), 10**4000),
+        (GroupSpec("FreeAbelian", 2), 10**4000),
+        (GroupSpec("FreeAbelian", 3), 10**4000),
+    ):
+        with pytest.raises(BallBudgetError, match="more than 200000 points"):
+            cayley_ball(spec, radius)
+        with pytest.raises(BallBudgetError, match="24 points"):
+            check_search_size(spec, radius)
+
+
 def test_search_size_is_checked_before_any_distance(monkeypatch):
     for name in ("_l1_matrix", "_word_matrix", "_induced_matrix"):
         monkeypatch.setattr(coarse, name, _refuse)
@@ -274,10 +293,13 @@ def test_builders_and_verify_allocate_no_square_temporary():
         ball, peak = _traced_peak(lambda: cayley_ball(spec, radius))
         matrix = ball.dist.nbytes
         assert peak <= matrix + max(16 * 2**20, matrix // 4), (str(spec), peak, matrix)
-    witness = brick_cover(2, 2, 28)
-    report, peak = _traced_peak(lambda: verify_cover(witness))
-    assert report.valid
-    assert peak < witness.space.dist.nbytes // 4, peak
+    for rank, D, radius in ((2, 2, 28), (3, 3, 12)):
+        witness, peak = _traced_peak(lambda: brick_cover(rank, D, radius))
+        matrix = witness.space.dist.nbytes
+        assert peak <= matrix + max(16 * 2**20, matrix // 4), (rank, D, radius, peak, matrix)
+        report, peak = _traced_peak(lambda: verify_cover(witness))
+        assert report.valid
+        assert peak < matrix // 4, (rank, D, radius, peak, matrix)
 
 
 def test_radius_must_be_positive():
@@ -415,16 +437,72 @@ def _naive_min_families(space, D, B, k_max):
 
 
 def test_search_agrees_with_naive_enumeration():
+    path5 = cayley_ball(GroupSpec("FreeAbelian", 1), 2)
     path7 = cayley_ball(GroupSpec("FreeAbelian", 1), 3)
     free5 = cayley_ball(GroupSpec("FreeGroup", 2), 1)
-    for space in (path7, free5):
-        for D in (1, 2):
+    for space in (path5, path7, free5):
+        for D in (1, 2, 4):
             for B in (1, 2, 4, 6):
                 expected = _naive_min_families(space, D, B, 3)
                 got = min_families_exhaustive(space, D, B, k_max=3)
                 assert got.k == expected, (space.label, D, B)
                 if got.k is not None:
                     assert verify_cover(got.witness).valid
+
+
+# Balls of at most 9 points, searched whole or in part.
+SMALL_BALLS = [
+    cayley_ball(spec, radius)
+    for spec, radius in (
+        (GroupSpec("FreeAbelian", 1), 4),
+        (GroupSpec("FreeAbelian", 2), 1),
+        (GroupSpec("FreeAbelian", 3), 1),
+        (GroupSpec("FreeGroup", 1), 3),
+        (GroupSpec("FreeGroup", 2), 1),
+        (GroupSpec("Heisenberg3"), 1),
+    )
+]
+# The naive search tries up to k_max**points colorings; these caps keep an
+# example in milliseconds.
+NAIVE_POINTS = {1: 9, 2: 9, 3: 8, 4: 6}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_search_agrees_with_naive_enumeration_on_random_subspaces(data):
+    ball = data.draw(st.sampled_from(SMALL_BALLS))
+    k_max = data.draw(st.integers(1, 4))
+    size = min(len(ball), NAIVE_POINTS[k_max])
+    size -= data.draw(st.integers(0, size - 1))
+    keep = sorted(data.draw(st.permutations(range(len(ball))))[:size])
+    D = data.draw(st.integers(1, 5))
+    B = data.draw(st.integers(1, 4))
+    space = FiniteMetricSpace(
+        [ball.points[i] for i in keep], ball.dist[np.ix_(keep, keep)], ball.label
+    )
+    got = min_families_exhaustive(space, D, B, k_max)
+    assert got.k == _naive_min_families(space, D, B, k_max)
+    if got.k is None:
+        assert got.witness is None
+    else:
+        assert len(got.witness.families) == got.k
+        assert verify_cover(got.witness).valid
+
+
+@pytest.mark.parametrize(
+    "spec", [GroupSpec("FreeAbelian", 2), GroupSpec("FreeGroup", 2), GroupSpec("Heisenberg3")], ids=str
+)
+def test_the_conflict_clique_settles_the_deep_radius_two_instances(spec):
+    # At D=4, B=3 each of these balls holds four points pairwise at
+    # distance 4, so three families never suffice and no node is searched.
+    ball = cayley_ball(spec, 2)
+    refused = min_families_exhaustive(ball, 4, 3, k_max=3)
+    assert (refused.k, refused.witness, refused.nodes) == (None, None, 0)
+    found = min_families_exhaustive(ball, 4, 3, k_max=4)
+    assert found.k == 4 and len(found.witness.families) == 4
+    assert verify_cover(found.witness).valid
+    # k=4 is tried alone and its first descent succeeds.
+    assert found.nodes == len(ball) + 1
 
 
 def test_component_grouping_is_forced_on_tiny_spaces():
@@ -501,11 +579,27 @@ def test_witness_format_errors_carry_line_numbers():
         ("\n".join(lines[:4]) + "\n0:0 0,99999\n", 5),
         ("\n".join(lines[:4]) + "\n0:0 zero\n", 5),
         ("coarse-witness v1\n", 2),
+        (lines[0] + "\ngroup=Heisenberg3 radius=3 metric=bogus\n" + "\n".join(lines[2:]) + "\n", 2),
+        (lines[0] + "\ngroup=FreeAbelian(1) radius=4 metric=induced-ball\n" + "\n".join(lines[2:]) + "\n", 2),
+        (lines[0] + "\ngroup=FreeAbelian(1) radius=" + "9" * 5000 + "\n" + "\n".join(lines[2:]) + "\n", 2),
+        (lines[0] + "\ngroup=FreeAbelian(1) radius=\u00b2\n" + "\n".join(lines[2:]) + "\n", 2),
+        (lines[0] + "\n" + lines[1] + "\nD \u00b2\n" + "\n".join(lines[3:]) + "\n", 3),
+        ("\n".join(lines[:4]) + "\n0:0 0,\u00b2\n", 5),
     ]
     for text, lineno in cases:
         with pytest.raises(WitnessFormatError) as info:
             parse_witness(text)
         assert info.value.line == lineno, text.splitlines()[:2]
+
+
+def test_heisenberg_labels_parse_with_or_without_their_metric_field():
+    found = min_families_exhaustive(cayley_ball(GroupSpec("Heisenberg3"), 1), 1, 2)
+    text = format_witness(found.witness)
+    assert "group=Heisenberg3 radius=1 metric=induced-ball\n" in text
+    for label in ("group=Heisenberg3 radius=1 metric=induced-ball", "group=Heisenberg3 radius=1"):
+        again = parse_witness(text.replace(found.witness.space.label, label))
+        assert again.families == found.witness.families
+        assert verify_cover(again).valid
 
 
 def test_witness_semantic_problems_are_not_format_errors():
