@@ -10,6 +10,11 @@ Subcommands:
     cover verify FILE   recheck a witness file
     cover search        exhaustive minimal-family search on a tiny ball
 
+Each subcommand imports the package modules it runs when it runs, and no
+others: catalog loads bounds and geometries; bound loads those plus
+groups, engine and manifolds, never coarse; the cover subcommands load
+coarse alone, and numpy with it.
+
 Exit codes: 0 success, 1 semantic failure (invalid cover, no cover found),
 2 unusable input (parse errors, bad arguments, budget, unreadable input or
 unwritable output files, nesting deeper than the interpreter's recursion
@@ -20,56 +25,76 @@ Diagnostics go to stderr as "path:line:col: error: text".
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 
-from . import engine
-from .bounds import InconsistentBoundError
-from .coarse import (
-    BallBudgetError,
-    WitnessFormatError,
-    brick_cover,
-    cayley_ball,
-    check_search_size,
-    format_witness,
-    min_families_exhaustive,
-    parse_group_spec,
-    parse_witness,
-    verify_cover,
-)
-from .geometries import UnsupportedDimensionError, fact_record, list_geometries
-from .groups import to_canonical
-from .manifolds import (
-    ManifoldParseError,
-    OutsideClassifiedCasesError,
-    compile as compile_manifold,
-    parse_manifold,
-)
+# The functions of other modules that handlers call, by the name they are
+# called under here: (module, attribute).  Each becomes a module global on
+# first use, through __getattr__, and handlers read it back through _load,
+# so a wrapper set on this module (bench/spans.py times calls that way)
+# is what runs.
+_LAZY = {
+    "parse_manifold": ("manifolds", "parse_manifold"),
+    "compile_manifold": ("manifolds", "compile"),
+    "to_canonical": ("groups", "to_canonical"),
+    "list_geometries": ("geometries", "list_geometries"),
+    "fact_record": ("geometries", "fact_record"),
+    "brick_cover": ("coarse", "brick_cover"),
+    "cayley_ball": ("coarse", "cayley_ball"),
+    "format_witness": ("coarse", "format_witness"),
+    "min_families_exhaustive": ("coarse", "min_families_exhaustive"),
+    "parse_witness": ("coarse", "parse_witness"),
+    "verify_cover": ("coarse", "verify_cover"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _LAZY[name]
+    value = globals()[name] = getattr(importlib.import_module(f".{module}", __package__), attr)
+    return value
+
+
+def _load(*names: str) -> tuple:
+    """The module globals of these names, set on first use."""
+    scope = globals()
+    return tuple(scope[name] if name in scope else __getattr__(name) for name in names)
+
+
+def _error(message: str, code: int = 2) -> int:
+    print(message, file=sys.stderr)
+    return code
 
 
 def _read_text(path: str) -> tuple[str, bytes] | int:
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        print(f"{path}: error: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+        return _error(f"{path}: error: {exc.strerror or exc}")
     try:
         return raw.decode("utf-8"), raw
     except UnicodeDecodeError as exc:
-        print(f"{path}: error: not valid UTF-8 ({exc.reason})", file=sys.stderr)
-        return 2
+        return _error(f"{path}: error: not valid UTF-8 ({exc.reason})")
 
 
 def _write_text(path: str, text: str) -> int:
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        print(f"{path}: error: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+        return _error(f"{path}: error: {exc.strerror or exc}")
     return 0
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    from . import engine
+    from .bounds import InconsistentBoundError
+    from .manifolds import ManifoldParseError, OutsideClassifiedCasesError
+
+    parse_manifold, compile_manifold, to_canonical = _load(
+        "parse_manifold", "compile_manifold", "to_canonical"
+    )
     loaded = _read_text(args.file)
     if isinstance(loaded, int):
         return loaded
@@ -77,12 +102,13 @@ def cmd_bound(args: argparse.Namespace) -> int:
     try:
         desc = parse_manifold(text)
         expr, verdict = compile_manifold(desc)
+        aspherical = verdict.status == "Aspherical"
+        result = engine.bound(expr, aspherical_dim=desc.dim if aspherical else None)
+        cons = engine.consequences(result.bound, aspherical)
     except (ManifoldParseError, OutsideClassifiedCasesError) as exc:
-        print(f"{args.file}:{exc.line}:{exc.col}: error: {exc.message}", file=sys.stderr)
-        return 2
-    aspherical = verdict.status == "Aspherical"
-    result = engine.bound(expr, aspherical_dim=desc.dim if aspherical else None)
-    cons = engine.consequences(result.bound, aspherical)
+        return _error(f"{args.file}:{exc.line}:{exc.col}: error: {exc.message}")
+    except InconsistentBoundError as exc:
+        return _error(f"error: inconsistent bounds: {exc}", 3)
     if args.format == "structured":
         import hashlib
         import json
@@ -126,7 +152,13 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    facts = list_geometries(args.dim)
+    from .geometries import UnsupportedDimensionError
+
+    list_geometries, fact_record = _load("list_geometries", "fact_record")
+    try:
+        facts = list_geometries(args.dim)
+    except UnsupportedDimensionError as exc:
+        return _error(f"error: {exc}")
     if args.format == "structured":
         import json
 
@@ -148,7 +180,13 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def cmd_cover_build(args: argparse.Namespace) -> int:
-    witness = brick_cover(args.rank, args.D, args.radius)
+    from .coarse import BallBudgetError
+
+    brick_cover, format_witness = _load("brick_cover", "format_witness")
+    try:
+        witness = brick_cover(args.rank, args.D, args.radius)
+    except BallBudgetError as exc:
+        return _error(f"error: {exc}")
     text = format_witness(witness)
     if args.output:
         if _write_text(args.output, text):
@@ -165,6 +203,9 @@ def cmd_cover_build(args: argparse.Namespace) -> int:
 
 
 def cmd_cover_verify(args: argparse.Namespace) -> int:
+    from .coarse import BallBudgetError, WitnessFormatError
+
+    parse_witness, verify_cover = _load("parse_witness", "verify_cover")
     loaded = _read_text(args.file)
     if isinstance(loaded, int):
         return loaded
@@ -172,8 +213,10 @@ def cmd_cover_verify(args: argparse.Namespace) -> int:
     try:
         witness = parse_witness(text)
     except WitnessFormatError as exc:
-        print(f"{args.file}:{exc.line}: error: {exc.message}", file=sys.stderr)
-        return 2
+        return _error(f"{args.file}:{exc.line}: error: {exc.message}")
+    except (BallBudgetError, ValueError) as exc:
+        # the label, line 2, names a ball that cayley_ball refuses to build
+        return _error(f"{args.file}:2: error: {exc}")
     report = verify_cover(witness)
     if report.valid:
         subsets = sum(len(fam) for fam in witness.families)
@@ -189,10 +232,18 @@ def cmd_cover_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_cover_search(args: argparse.Namespace) -> int:
+    from .coarse import BallBudgetError, check_search_size, parse_group_spec
+
+    cayley_ball, min_families_exhaustive, format_witness = _load(
+        "cayley_ball", "min_families_exhaustive", "format_witness"
+    )
     spec = parse_group_spec(args.group)
-    check_search_size(spec, args.radius)
-    space = cayley_ball(spec, args.radius)
-    result = min_families_exhaustive(space, args.D, args.B, args.k_max)
+    try:
+        check_search_size(spec, args.radius)
+        space = cayley_ball(spec, args.radius)
+        result = min_families_exhaustive(space, args.D, args.B, args.k_max)
+    except BallBudgetError as exc:
+        return _error(f"error: {exc}")
     if result.k is None:
         print("k=none")
         return 1
@@ -258,15 +309,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except InconsistentBoundError as exc:
-        print(f"error: inconsistent bounds: {exc}", file=sys.stderr)
-        return 3
-    except (BallBudgetError, UnsupportedDimensionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        return _error(f"error: {exc}")
     except RecursionError:
-        print("error: input nests too deeply to process", file=sys.stderr)
-        return 2
+        return _error("error: input nests too deeply to process")
 
 
 if __name__ == "__main__":

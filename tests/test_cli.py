@@ -2,21 +2,16 @@
 
 import ast
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, run_fresh
 
+import asdimlab.cli
 import asdimlab.coarse
 import asdimlab.engine
 from asdimlab.bounds import InconsistentBoundError
 from asdimlab.cli import main
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -218,10 +213,15 @@ def test_cover_verify_refuses_a_huge_label_radius(tmp_path, capsys):
     code, out, err = run(capsys, "cover", "verify", str(target))
     assert code == 2 and out == ""
     assert "more than 200000 points" in err
+    assert err.startswith(f"{target}:2: error: ")
     target.write_text("coarse-witness v1\ngroup=FreeGroup(2) radius=" + "1" * 5000 + "\nD 1\nB 0\n0:0 0\n")
     code, out, err = run(capsys, "cover", "verify", str(target))
     assert code == 2 and out == ""
     assert err.startswith(f"{target}:2: error: bad radius")
+    target.write_text("coarse-witness v1\ngroup=FreeGroup(2) radius=0\nD 1\nB 0\n0:0 0\n")
+    code, out, err = run(capsys, "cover", "verify", str(target))
+    assert code == 2 and out == ""
+    assert err == f"{target}:2: error: radius must be positive, got 0\n"
 
 
 def test_cover_verify_refuses_a_label_whose_matrix_is_too_large(tmp_path, capsys, monkeypatch):
@@ -232,6 +232,7 @@ def test_cover_verify_refuses_a_label_whose_matrix_is_too_large(tmp_path, capsys
     code, out, err = run(capsys, "cover", "verify", str(target))
     assert code == 2 and out == ""
     assert "distance matrix" in err
+    assert err.startswith(f"{target}:2: error: ")
 
 
 @pytest.mark.parametrize(
@@ -274,20 +275,84 @@ def test_only_the_coarse_lab_loads_numpy():
         ["catalog", "--dim", "3"],
         ["cover", "search", "--group", "FreeAbelian(1)", "--radius", "4", "-D", "2", "-B", "3"],
     ]
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_CHILD.replace("ARGVS", repr(argvs))],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    )
-    bound, bad, catalog, search = ast.literal_eval(proc.stdout)
+    bound, bad, catalog, search = ast.literal_eval(run_fresh(_FRESH_CHILD.replace("ARGVS", repr(argvs))))
     assert bound[0] == 0 and "bound: 3..3" in bound[1] and bound[2] == []
     assert bad[0] == 2 and bad[2] == []
     assert catalog[0] == 0 and catalog[1].startswith("S3") and catalog[2] == []
     assert search[:2] == (0, "k=2\n") and "numpy" in search[2]
+
+
+# Runs one command in a fresh interpreter and prints which package modules it loaded.
+_LOADS_CHILD = """
+import contextlib, io, sys
+from asdimlab.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    main(ARGV)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "asdimlab"))
+"""
+_CORE = {"asdimlab", "asdimlab.cli"}
+_BOUND_LAYERS = _CORE | {f"asdimlab.{m}" for m in ("bounds", "geometries", "groups", "engine", "manifolds")}
+_COARSE_LAYERS = _CORE | {"asdimlab.coarse"}
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        (["catalog", "--dim", "3"], _CORE | {"asdimlab.bounds", "asdimlab.geometries"}),
+        (["bound", str(FIXTURES / "d3_h3.mfd"), "--trace"], _BOUND_LAYERS),
+        (["bound", str(FIXTURES / "bad" / "dim5.mfd")], _BOUND_LAYERS),
+        (["cover", "build", "--rank", "1", "-D", "2", "--radius", "8"], _COARSE_LAYERS),
+        (["cover", "verify", str(GOLDEN / "brick_r1.txt")], _COARSE_LAYERS),
+        (["cover", "search", "--group", "FreeAbelian(1)", "--radius", "4", "-D", "2", "-B", "3"],
+         _COARSE_LAYERS),
+    ],
+    ids=["catalog", "bound", "bound-error", "cover-build", "cover-verify", "cover-search"],
+)
+def test_each_subcommand_loads_only_its_layers(argv, loaded):
+    assert set(ast.literal_eval(run_fresh(_LOADS_CHILD.replace("ARGV", repr(argv))))) == loaded
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = "import sys, asdimlab; print(sorted(m for m in sys.modules if m.startswith('asdimlab')))"
+    assert ast.literal_eval(run_fresh(code)) == ["asdimlab"]
+
+
+# The names bench/spans.py replaces on asdimlab.cli to time cross-layer calls.
+_SPANNED = (
+    "parse_manifold", "compile_manifold", "to_canonical", "list_geometries", "fact_record",
+    "brick_cover", "cayley_ball", "format_witness", "min_families_exhaustive", "parse_witness",
+    "verify_cover",
+)
+
+
+def test_handlers_call_what_is_set_on_the_cli_module(tmp_path, capsys, monkeypatch):
+    called = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in _SPANNED:
+        monkeypatch.setattr(asdimlab.cli, name, spy(name, getattr(asdimlab.cli, name)))
+    witness = tmp_path / "w.txt"
+    commands = [
+        (("bound", str(FIXTURES / "d3_h3.mfd")), {"parse_manifold", "compile_manifold", "to_canonical"}),
+        (("catalog", "--dim", "3", "--format", "structured"), {"list_geometries", "fact_record"}),
+        (("cover", "build", "--rank", "1", "-D", "2", "--radius", "8", "-o", str(witness)),
+         {"brick_cover", "format_witness"}),
+        (("cover", "verify", str(witness)), {"parse_witness", "verify_cover"}),
+        (("cover", "search", "--group", "FreeAbelian(1)", "--radius", "4", "-D", "1", "-B", "8",
+          "-o", str(tmp_path / "found.txt")), {"cayley_ball", "min_families_exhaustive", "format_witness"}),
+    ]
+    for argv, expected in commands:
+        called.clear()
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert set(called) == expected, argv
 
 
 def test_inconsistent_bound_maps_to_exit_3(capsys, monkeypatch):
