@@ -1,6 +1,6 @@
 """Print the geometry catalog with the bound each lattice inherits."""
 
-from asdimlab import list_geometries
+from asdimlab import lattice_bound, list_geometries
 
 for dim in (3, 4):
     facts = list_geometries(dim)
@@ -12,5 +12,5 @@ for dim in (3, 4):
         if f.compact_model:
             flags.append("compact model")
         suffix = f"  ({', '.join(flags)})" if flags else ""
-        print(f"  {f.name:<8} lattice asdim {f.lattice_asdim}  via {f.lattice_rule}{suffix}")
+        print(f"  {f.name:<8} lattice asdim {lattice_bound(f)}  via {f.lattice_rule}{suffix}")
     print()

@@ -22,13 +22,14 @@ _EXPORTS = {
     " SearchResult WitnessFormatError brick_cover cayley_ball format_witness"
     " min_families_exhaustive parse_group_spec parse_witness verify_cover",
     "engine": "BoundResult Consequence MalformedTraceError ProofTrace Rule RuleArityError"
-    " TraceStep UnknownRuleError apply_rule bound consequences list_rules parse_trace"
-    " replay serialize_trace",
+    " TraceStep UnknownRuleError apply_rule bound consequences lattice_bound list_rules"
+    " parse_trace replay serialize_trace",
     "geometries": "GeometryFact UnknownGeometryError UnsupportedDimensionError"
     " lookup_geometry list_geometries",
-    "groups": "Amalgam CanonicalFormError Extension Finite FreeAbelian FreeProduct GroupExpr"
-    " HNN HyperbolicGroup InfinitenessStatus Lattice Product ProperActionOn RelHyperbolic"
-    " SurfaceGroup Trivial Union is_infinite normalize parse_canonical to_canonical",
+    "groups": "ActsOnCover Amalgam CanonicalFormError Extension Finite FreeAbelian FreeProduct"
+    " GroupExpr HNN HyperbolicGroup InfinitenessStatus Lattice Product ProperActionOn"
+    " RelHyperbolic SurfaceGroup Trivial Union is_infinite normalize parse_canonical"
+    " to_canonical",
     "manifolds": "AsphericityVerdict CompileResult ManifoldDesc ManifoldParseError"
     " OutsideClassifiedCasesError compile connected_sum_with_handles parse_manifold render",
 }

@@ -11,9 +11,9 @@ Subcommands:
     cover search        exhaustive minimal-family search on a tiny ball
 
 Each subcommand imports the package modules it runs when it runs, and no
-others: catalog loads bounds and geometries; bound loads those plus
-groups, engine and manifolds, never coarse; the cover subcommands load
-coarse alone, and numpy with it.
+others: catalog loads bounds, geometries, groups and engine, which
+derives the lattice column; bound loads those plus manifolds, never
+coarse; the cover subcommands load coarse alone, and numpy with it.
 
 Exit codes: 0 success, 1 semantic failure (invalid cover, no cover found),
 2 unusable input (parse errors, bad arguments, budget, unreadable input or
@@ -152,6 +152,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
+    from .engine import lattice_bound
     from .geometries import UnsupportedDimensionError
 
     list_geometries, fact_record = _load("list_geometries", "fact_record")
@@ -162,7 +163,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     if args.format == "structured":
         import json
 
-        payload = {"dim": args.dim, "geometries": [fact_record(f) for f in facts]}
+        payload = {"dim": args.dim, "geometries": [fact_record(f, lattice_bound(f)) for f in facts]}
         print(json.dumps(payload, indent=2))
         return 0
     for f in facts:
@@ -174,7 +175,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         suffix = " [" + ",".join(flags) + "]" if flags else ""
         print(
             f"{f.name:<9} {f.klass:<12} model={f.model_asdim}"
-            f" lattice={f.lattice_asdim} via {f.lattice_rule}{suffix}"
+            f" lattice={lattice_bound(f)} via {f.lattice_rule}{suffix}"
         )
     return 0
 

@@ -28,8 +28,9 @@ from .bounds import (
     InconsistentBoundError,
     finite,
 )
-from .geometries import factor_facts, lookup_geometry
+from .geometries import GeometryFact, factor_facts, lookup_geometry
 from .groups import (
+    ActsOnCover,
     Amalgam,
     Extension,
     Finite,
@@ -498,6 +499,7 @@ def consequences(bound: DimBound, aspherical: bool) -> tuple[Consequence, ...]:
 # Composite variants whose upper bound is one rule over their parts' bounds.
 _PART_RULES = {
     Product: "R-PRODUCT",
+    ActsOnCover: "R-PROPER-ACTION",
     Amalgam: "R-AMALGAM",
     HNN: "R-HNN",
     Extension: "R-EXTENSION",
@@ -667,3 +669,10 @@ def bound(expr: GroupExpr, aspherical_dim: int | None = None) -> BoundResult:
         lb = ev.emit("R-ASPH-LB", subject, params=(aspherical_dim,))
         idx = ev.combine(subject, [idx, lb])
     return BoundResult(ev.steps[idx].produced, ProofTrace(tuple(ev.steps)))
+
+
+def lattice_bound(fact: GeometryFact) -> DimBound:
+    """The catalog's lattice bound: a cocompact lattice's, with the
+    closed-aspherical lower bound where closed quotients are aspherical."""
+    adim = fact.dim if fact.aspherical_model else None
+    return bound(Lattice(fact.name, fact.dim, True), aspherical_dim=adim).bound

@@ -9,14 +9,14 @@ and the asymptotic-dimension data the rules engine consumes:
                      real-hyperbolic, complex-hyperbolic, nil, sol, product,
                      or F4-type
     model_asdim      asymptotic dimension of the model space itself
-    lattice_asdim    best recorded bound for fundamental groups of
-                     finite-volume quotients (cocompact where those exist)
-    lattice_rule     id of the engine rule that justifies the lattice bound
+    lattice_rule     id of the engine rule that bounds lattices in the model
     aspherical_model whether closed manifolds modeled on it are aspherical
     compact_model    whether the model space is compact (quotients then have
                      finite fundamental group)
     factors          names of lower-dimensional catalog entries when the
                      geometry is a genuine metric product, else None
+
+Lattice bounds are not stored: ``engine.lattice_bound`` derives them.
 
 Conventions baked into the data:
 
@@ -69,7 +69,6 @@ class GeometryFact:
     dim: int
     klass: str
     model_asdim: DimBound
-    lattice_asdim: DimBound
     lattice_rule: str
     aspherical_model: bool
     compact_model: bool
@@ -80,63 +79,53 @@ class GeometryFact:
             raise ValueError(f"bad geometry class {self.klass!r}")
 
 
-def _fact(name, dim, klass, model, lattice, rule, aspherical, compact, factors=None):
-    return GeometryFact(
-        name=name,
-        dim=dim,
-        klass=klass,
-        model_asdim=DimBound.parse(model),
-        lattice_asdim=DimBound.parse(lattice),
-        lattice_rule=rule,
-        aspherical_model=aspherical,
-        compact_model=compact,
-        factors=factors,
-    )
+def _fact(name, dim, klass, model, *rest):
+    return GeometryFact(name, dim, klass, DimBound.parse(model), *rest)
 
 
 # Catalog rows, in canonical listing order per dimension.  The booleans are
 # (aspherical_model, compact_model).
 _DIM1 = (
-    _fact("E1", 1, "euclidean", "1..1", "1..1", "R-EUCLID", True, False),
+    _fact("E1", 1, "euclidean", "1..1", "R-EUCLID", True, False),
 )
 
 _DIM2 = (
-    _fact("S2", 2, "spherical-type", "0..0", "0..0", "R-FINITE", False, True),
-    _fact("E2", 2, "euclidean", "2..2", "2..2", "R-SURFACE", True, False),
-    _fact("H2", 2, "real-hyperbolic", "2..2", "2..2", "R-SURFACE", True, False),
+    _fact("S2", 2, "spherical-type", "0..0", "R-FINITE", False, True),
+    _fact("E2", 2, "euclidean", "2..2", "R-SURFACE", True, False),
+    _fact("H2", 2, "real-hyperbolic", "2..2", "R-SURFACE", True, False),
 )
 
 _DIM3 = (
-    _fact("S3", 3, "spherical-type", "0..0", "0..0", "R-FINITE", False, True),
-    _fact("E3", 3, "euclidean", "3..3", "3..3", "R-LIE-LATTICE", True, False),
-    _fact("Nil3", 3, "nil", "3..3", "3..3", "R-LIE-LATTICE", True, False),
-    _fact("Sol3", 3, "sol", "3..3", "3..3", "R-LIE-LATTICE", True, False),
-    _fact("S2xE", 3, "product", "1..1", "1..1", "R-PRODUCT", False, False, ("S2", "E1")),
-    _fact("H2xE", 3, "product", "3..3", "3..3", "R-PRODUCT", True, False, ("H2", "E1")),
-    _fact("SL2~", 3, "product", "3..3", "3..3", "R-LIE-LATTICE", True, False),
-    _fact("H3", 3, "real-hyperbolic", "3..3", "3..3", "R-PROPER-ACTION", True, False),
+    _fact("S3", 3, "spherical-type", "0..0", "R-FINITE", False, True),
+    _fact("E3", 3, "euclidean", "3..3", "R-LIE-LATTICE", True, False),
+    _fact("Nil3", 3, "nil", "3..3", "R-LIE-LATTICE", True, False),
+    _fact("Sol3", 3, "sol", "3..3", "R-LIE-LATTICE", True, False),
+    _fact("S2xE", 3, "product", "1..1", "R-PRODUCT", False, False, ("S2", "E1")),
+    _fact("H2xE", 3, "product", "3..3", "R-PRODUCT", True, False, ("H2", "E1")),
+    _fact("SL2~", 3, "product", "3..3", "R-LIE-LATTICE", True, False),
+    _fact("H3", 3, "real-hyperbolic", "3..3", "R-PROPER-ACTION", True, False),
 )
 
 _DIM4 = (
-    _fact("S4", 4, "spherical-type", "0..0", "0..0", "R-FINITE", False, True),
-    _fact("CP2", 4, "spherical-type", "0..0", "0..0", "R-FINITE", False, True),
-    _fact("S2xS2", 4, "product", "0..0", "0..0", "R-FINITE", False, True, ("S2", "S2")),
-    _fact("E4", 4, "euclidean", "4..4", "4..4", "R-LIE-LATTICE", True, False),
-    _fact("Nil4", 4, "nil", "4..4", "4..4", "R-LIE-LATTICE", True, False),
-    _fact("Sol4_0", 4, "sol", "4..4", "4..4", "R-LIE-LATTICE", True, False),
-    _fact("Sol4_1", 4, "sol", "4..4", "4..4", "R-LIE-LATTICE", True, False),
-    _fact("Sol4_mn", 4, "sol", "4..4", "4..4", "R-LIE-LATTICE", True, False),
-    _fact("S3xE", 4, "product", "1..1", "1..1", "R-PRODUCT", False, False, ("S3", "E1")),
-    _fact("S2xE2", 4, "product", "2..2", "1..2", "R-PRODUCT", False, False, ("S2", "E2")),
-    _fact("S2xH2", 4, "product", "2..2", "1..2", "R-PRODUCT", False, False, ("S2", "H2")),
-    _fact("Nil3xE", 4, "product", "4..4", "4..4", "R-LIE-LATTICE", True, False, ("Nil3", "E1")),
-    _fact("H3xE", 4, "product", "4..4", "4..4", "R-PRODUCT", True, False, ("H3", "E1")),
-    _fact("H2xE2", 4, "product", "4..4", "4..4", "R-PRODUCT", True, False, ("H2", "E2")),
-    _fact("H2xH2", 4, "product", "4..4", "4..4", "R-PRODUCT", True, False, ("H2", "H2")),
-    _fact("SL2~xE", 4, "product", "4..4", "4..4", "R-PRODUCT", True, False, ("SL2~", "E1")),
-    _fact("F4", 4, "F4-type", "4..4", "1..4", "R-EXTENSION", False, False),
-    _fact("H4", 4, "real-hyperbolic", "4..4", "4..4", "R-PROPER-ACTION", True, False),
-    _fact("H2C", 4, "complex-hyperbolic", "4..4", "4..4", "R-NAGATA", True, False),
+    _fact("S4", 4, "spherical-type", "0..0", "R-FINITE", False, True),
+    _fact("CP2", 4, "spherical-type", "0..0", "R-FINITE", False, True),
+    _fact("S2xS2", 4, "product", "0..0", "R-FINITE", False, True, ("S2", "S2")),
+    _fact("E4", 4, "euclidean", "4..4", "R-LIE-LATTICE", True, False),
+    _fact("Nil4", 4, "nil", "4..4", "R-LIE-LATTICE", True, False),
+    _fact("Sol4_0", 4, "sol", "4..4", "R-LIE-LATTICE", True, False),
+    _fact("Sol4_1", 4, "sol", "4..4", "R-LIE-LATTICE", True, False),
+    _fact("Sol4_mn", 4, "sol", "4..4", "R-LIE-LATTICE", True, False),
+    _fact("S3xE", 4, "product", "1..1", "R-PRODUCT", False, False, ("S3", "E1")),
+    _fact("S2xE2", 4, "product", "2..2", "R-PRODUCT", False, False, ("S2", "E2")),
+    _fact("S2xH2", 4, "product", "2..2", "R-PRODUCT", False, False, ("S2", "H2")),
+    _fact("Nil3xE", 4, "product", "4..4", "R-LIE-LATTICE", True, False, ("Nil3", "E1")),
+    _fact("H3xE", 4, "product", "4..4", "R-PRODUCT", True, False, ("H3", "E1")),
+    _fact("H2xE2", 4, "product", "4..4", "R-PRODUCT", True, False, ("H2", "E2")),
+    _fact("H2xH2", 4, "product", "4..4", "R-PRODUCT", True, False, ("H2", "H2")),
+    _fact("SL2~xE", 4, "product", "4..4", "R-PRODUCT", True, False, ("SL2~", "E1")),
+    _fact("F4", 4, "F4-type", "4..4", "R-EXTENSION", False, False),
+    _fact("H4", 4, "real-hyperbolic", "4..4", "R-PROPER-ACTION", True, False),
+    _fact("H2C", 4, "complex-hyperbolic", "4..4", "R-NAGATA", True, False),
 )
 
 _BY_DIM: dict[int, tuple[GeometryFact, ...]] = {1: _DIM1, 2: _DIM2, 3: _DIM3, 4: _DIM4}
@@ -177,14 +166,14 @@ def factor_facts(fact: GeometryFact) -> tuple[GeometryFact, ...]:
     return tuple(_BY_NAME[name] for name in fact.factors)
 
 
-def fact_record(fact: GeometryFact) -> dict:
-    """Flatten a fact into a plain dict for structured export."""
+def fact_record(fact: GeometryFact, lattice_asdim: DimBound) -> dict:
+    """Flatten a fact and its derived lattice bound into a plain dict for export."""
     return {
         "name": fact.name,
         "dim": fact.dim,
         "class": fact.klass,
         "model_asdim": {"lower": fact.model_asdim.lower, "upper": str(fact.model_asdim.upper)},
-        "lattice_asdim": {"lower": fact.lattice_asdim.lower, "upper": str(fact.lattice_asdim.upper)},
+        "lattice_asdim": {"lower": lattice_asdim.lower, "upper": str(lattice_asdim.upper)},
         "lattice_rule": fact.lattice_rule,
         "aspherical_model": fact.aspherical_model,
         "compact_model": fact.compact_model,

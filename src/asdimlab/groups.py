@@ -3,10 +3,10 @@
 A ``GroupExpr`` is a finite tree describing how a finitely generated group
 is built: base groups (trivial, finite, free abelian, surface groups,
 lattices in model geometries) combined by products, free products,
-amalgams, HNN extensions, group extensions and subspace unions, plus three
-"evidence" leaves that carry a bound rather than structure (a proper action
-on a space of known asymptotic dimension, hyperbolicity, relative
-hyperbolicity).
+amalgams, HNN extensions, group extensions, subspace unions and proper
+actions on universal covers, plus three "evidence" leaves that carry a
+bound rather than structure (a proper action on a space of known
+asymptotic dimension, hyperbolicity, relative hyperbolicity).
 
 Each variant class holds its own canonical text form, rebuild step and
 infiniteness.  The module provides the canonical text form used in proof
@@ -295,6 +295,17 @@ class Union(_Flattening):
 
 
 @dataclass(frozen=True)
+class ActsOnCover(_Composite):
+    """A group acting properly and isometrically on the universal cover of a
+    space whose fundamental group is ``space``."""
+
+    space: GroupExpr
+
+    def children(self) -> tuple[GroupExpr, ...]:
+        return (self.space,)
+
+
+@dataclass(frozen=True)
 class ProperActionOn(GroupExpr):
     """A group acting properly and isometrically on a proper metric space
     whose asymptotic dimension is already bounded."""
@@ -344,7 +355,7 @@ class RelHyperbolic(_Parts):
 
 _VARIANTS: dict[str, type[GroupExpr]] = {cls.__name__: cls for cls in (
     Trivial, Finite, FreeAbelian, SurfaceGroup, Lattice, Product, FreeProduct, Amalgam,
-    HNN, Extension, Union, ProperActionOn, HyperbolicGroup, RelHyperbolic,
+    HNN, Extension, Union, ActsOnCover, ProperActionOn, HyperbolicGroup, RelHyperbolic,
 )}
 
 

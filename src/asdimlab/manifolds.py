@@ -28,12 +28,13 @@ whether the singular set is nonempty.
 
 Compilation turns the description into a group expression by the usual
 pushout reading of gluings: pieces become lattices in their model
-geometry (the affine-plane geometry F4 becomes the flat-torus-over-
-hyperbolic-orbifold extension instead, since that is where its bound comes
-from), injective graphs become iterated amalgams over a deterministic
+geometry, injective graphs become iterated amalgams over a deterministic
 breadth-first spanning tree with HNN layers for the leftover edges,
 non-injective graphs become subspace unions, and connected sums become
-free products.  The asphericity verdict follows the classification of
+free products.  An Alexandrov space becomes a group acting on the
+universal cover of its smooth branched double cover, whose group is
+compiled the same way.  Compilation derives no bound; the engine does.
+The asphericity verdict follows the classification of
 geometric decompositions of closed 4-manifolds (Hillman) and its dim-3
 counterpart; vertex-geometry mixtures outside the classified cases raise
 OutsideClassifiedCasesError, the compiler's only failure mode.
@@ -45,17 +46,15 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import engine
 from .geometries import UnknownGeometryError, lookup_geometry
 from .groups import (
+    ActsOnCover,
     Amalgam,
-    Extension,
     FreeAbelian,
     FreeProduct,
     GroupExpr,
     HNN,
     Lattice,
-    ProperActionOn,
     SurfaceGroup,
     Union,
     _NAME_CHARS,
@@ -97,7 +96,7 @@ class Handle:
     """A connected-sum handle: one S3xE summand contributing an infinite
     cyclic group.  Handles are created by connected_sum_with_handles, never
     by the parser; render() writes them as S3xE pieces, which reparse to
-    GeometricPiece values with the same compiled group."""
+    GeometricPiece values that compile to a lattice of the same bound."""
 
     name: str
 
@@ -450,17 +449,6 @@ _SPHERE_FIBER_CASE = frozenset(("S2xE2", "S2xH2"))
 _MIXED_HYPERBOLIC_CASE = frozenset(("H4", "H3xE", "H2xE2", "SL2~xE"))
 _COMPLEX_AFFINE_CASE = frozenset(("H2C", "F4"))
 
-_ALEXANDROV_LABEL = "universal cover of the branched double cover"
-
-
-def _piece_expr(geometry: str, dim: int, cocompact: bool) -> GroupExpr:
-    if geometry == "F4":
-        # The affine-plane geometry is bounded through its flat-torus fiber
-        # over a finite-area hyperbolic orbifold base, so compile it as that
-        # extension rather than as an opaque lattice.
-        return Extension(FreeAbelian(2), SurfaceGroup("hyperbolic"))
-    return Lattice(geometry, dim, cocompact)
-
 
 def _piece_verdict(geometry: str, dim: int) -> AsphericityVerdict:
     fact = lookup_geometry(geometry, dim)
@@ -523,7 +511,7 @@ def _spanning_tree(graph: DecompGraph) -> tuple[list[tuple[int, int, int]], list
 
 
 def _graph_expr(graph: DecompGraph, dim: int) -> GroupExpr:
-    vertex_exprs = [_piece_expr(v.geometry, dim, cocompact=False) for v in graph.vertices]
+    vertex_exprs = [Lattice(v.geometry, dim, False) for v in graph.vertices]
     if not graph.pi1_injective:
         return Union(tuple(vertex_exprs))
     tree, rest = _spanning_tree(graph)
@@ -592,32 +580,32 @@ def _graph_verdict(graph: DecompGraph, dim: int) -> AsphericityVerdict:
     return verdict
 
 
+def _lone_piece(s: Summand) -> str | None:
+    """The geometry of a piece or a one-vertex edgeless graph, else None."""
+    if isinstance(s, GeometricPiece):
+        return s.geometry
+    if isinstance(s, DecompGraph) and len(s.vertices) == 1 and not s.edges:
+        return s.vertices[0].geometry
+    return None
+
+
 def _summand_expr(s: Summand, dim: int) -> GroupExpr:
     if isinstance(s, Handle):
         return FreeAbelian(1)
-    if isinstance(s, GeometricPiece):
-        return _piece_expr(s.geometry, dim, cocompact=True)
-    if len(s.vertices) == 1 and not s.edges:
-        return _piece_expr(s.vertices[0].geometry, dim, cocompact=True)
-    return _graph_expr(s, dim)
+    geometry = _lone_piece(s)
+    return _graph_expr(s, dim) if geometry is None else Lattice(geometry, dim, True)
 
 
 def _summand_verdict(s: Summand, dim: int) -> AsphericityVerdict:
     if isinstance(s, Handle):
         return _piece_verdict("S3xE", 4)
-    if isinstance(s, GeometricPiece):
-        return _piece_verdict(s.geometry, dim)
-    if len(s.vertices) == 1 and not s.edges:
-        return _piece_verdict(s.vertices[0].geometry, dim)
-    return _graph_verdict(s, dim)
+    geometry = _lone_piece(s)
+    return _graph_verdict(s, dim) if geometry is None else _piece_verdict(geometry, dim)
 
 
 def _is_sphere_type(s: Summand, dim: int) -> bool:
-    if isinstance(s, GeometricPiece):
-        return lookup_geometry(s.geometry, dim).compact_model
-    if isinstance(s, DecompGraph) and len(s.vertices) == 1 and not s.edges:
-        return lookup_geometry(s.vertices[0].geometry, dim).compact_model
-    return False
+    geometry = _lone_piece(s)
+    return geometry is not None and lookup_geometry(geometry, dim).compact_model
 
 
 def compile(desc: ManifoldDesc) -> CompileResult:
@@ -627,11 +615,7 @@ def compile(desc: ManifoldDesc) -> CompileResult:
     OutsideClassifiedCasesError for unclassified graph mixtures.
     """
     if desc.alexandrov:
-        smooth = ManifoldDesc(desc.dim, desc.summands)
-        inner_expr, inner_verdict = compile(smooth)
-        adim = desc.dim if inner_verdict.status == "Aspherical" else None
-        space = engine.bound(inner_expr, aspherical_dim=adim).bound
-        expr: GroupExpr = ProperActionOn(space, _ALEXANDROV_LABEL)
+        inner_expr, inner_verdict = compile(ManifoldDesc(desc.dim, desc.summands))
         if desc.singular_set_nonempty:
             verdict = AsphericityVerdict(
                 "Undetermined",
@@ -644,7 +628,7 @@ def compile(desc: ManifoldDesc) -> CompileResult:
                 inner_verdict.reason + "; empty singular set, so the smooth verdict"
                 " stands",
             )
-        return CompileResult(expr, verdict)
+        return CompileResult(ActsOnCover(inner_expr), verdict)
 
     exprs = [_summand_expr(s, desc.dim) for s in desc.summands]
     if len(exprs) == 1:

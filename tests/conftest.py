@@ -105,3 +105,12 @@ def make_expr(rng: random.Random, depth: int = 3) -> groups.GroupExpr:
             tuple(make_expr(rng, depth - 1) for _ in range(rng.randrange(1, 3))), ambient
         )
     return leaf_expr(rng)
+
+
+def make_cover_expr(rng: random.Random, depth: int = 3) -> groups.GroupExpr:
+    """An ActsOnCover node over a make_expr tree, half the time in a product
+    with another.  A generator of its own, so make_expr's draws stay fixed."""
+    cover = groups.ActsOnCover(make_expr(rng, depth))
+    if rng.random() < 0.5:
+        return cover
+    return groups.Product((cover, make_expr(rng, depth)))

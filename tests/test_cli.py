@@ -53,6 +53,12 @@ def test_bound_structured_golden(capsys):
     assert out == (GOLDEN / "five_summands_structured.json").read_text()
 
 
+def test_bound_alexandrov_trace_golden(capsys):
+    code, out, err = run(capsys, "bound", str(FIXTURES / "alex_empty.mfd"), "--trace")
+    assert code == 0
+    assert out == (GOLDEN / "alex_empty_trace.txt").read_text()
+
+
 def test_structured_payload_shape(capsys):
     code, out, _ = run(capsys, "bound", str(FIXTURES / "alex_empty.mfd"), "--format", "structured")
     assert code == 0
@@ -92,9 +98,17 @@ def test_catalog_text(capsys):
 
 
 def test_catalog_structured_golden(capsys):
-    code, out, _ = run(capsys, "catalog", "--dim", "3", "--format", "structured")
-    assert code == 0
-    assert out == (GOLDEN / "catalog_dim3.json").read_text()
+    for dim in (2, 3, 4):
+        code, out, _ = run(capsys, "catalog", "--dim", str(dim), "--format", "structured")
+        assert code == 0
+        assert out == (GOLDEN / f"catalog_dim{dim}.json").read_text()
+
+
+def test_catalog_text_golden(capsys):
+    for dim in (2, 3, 4):
+        code, out, _ = run(capsys, "catalog", "--dim", str(dim))
+        assert code == 0
+        assert out == (GOLDEN / f"catalog_dim{dim}.txt").read_text()
 
 
 def test_catalog_rejects_bad_dim(capsys):
@@ -292,14 +306,15 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(sorted(m for m in sys.modules if m.split(".")[0] == "asdimlab"))
 """
 _CORE = {"asdimlab", "asdimlab.cli"}
-_BOUND_LAYERS = _CORE | {f"asdimlab.{m}" for m in ("bounds", "geometries", "groups", "engine", "manifolds")}
+_CATALOG_LAYERS = _CORE | {f"asdimlab.{m}" for m in ("bounds", "geometries", "groups", "engine")}
+_BOUND_LAYERS = _CATALOG_LAYERS | {"asdimlab.manifolds"}
 _COARSE_LAYERS = _CORE | {"asdimlab.coarse"}
 
 
 @pytest.mark.parametrize(
     "argv,loaded",
     [
-        (["catalog", "--dim", "3"], _CORE | {"asdimlab.bounds", "asdimlab.geometries"}),
+        (["catalog", "--dim", "3"], _CATALOG_LAYERS),
         (["bound", str(FIXTURES / "d3_h3.mfd"), "--trace"], _BOUND_LAYERS),
         (["bound", str(FIXTURES / "bad" / "dim5.mfd")], _BOUND_LAYERS),
         (["cover", "build", "--rank", "1", "-D", "2", "--radius", "8"], _COARSE_LAYERS),

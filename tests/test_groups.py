@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from conftest import make_expr
+from conftest import make_cover_expr, make_expr
 
 from asdimlab.bounds import DimBound, finite
 from asdimlab.groups import (
+    ActsOnCover,
     Amalgam,
     CanonicalFormError,
     Extension,
@@ -174,3 +175,15 @@ def test_normalize_idempotent_random():
         expr = make_expr(rng, depth=rng.randrange(0, 4))
         n1 = normalize(expr)
         assert normalize(n1) == n1
+
+
+def test_acts_on_cover_round_trips_and_normalizes_inside():
+    rng = random.Random(2718)
+    for _ in range(300):
+        expr = make_cover_expr(rng, depth=rng.randrange(0, 4))
+        assert parse_canonical(to_canonical(expr)) == expr
+        n1 = normalize(expr)
+        assert normalize(n1) == n1
+        cover = expr if isinstance(expr, ActsOnCover) else expr.factors[0]
+        assert normalize(cover) == ActsOnCover(normalize(cover.space))
+        assert is_infinite(cover) is UND

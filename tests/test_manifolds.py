@@ -2,18 +2,16 @@
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, run_fresh
 
 from asdimlab import engine
 from asdimlab.groups import (
+    ActsOnCover,
     Amalgam,
-    Extension,
     FreeAbelian,
     FreeProduct,
     HNN,
     Lattice,
-    ProperActionOn,
-    SurfaceGroup,
     Union,
 )
 from asdimlab.manifolds import (
@@ -105,10 +103,12 @@ def test_piece_compilation():
     assert verdict.status == "NotAspherical"
     assert "compact" in verdict.reason
 
-    # the affine-plane geometry compiles through its fiber extension
+    # the affine-plane geometry is a lattice like any other; the engine
+    # bounds it through its fiber extension
     desc = parse_manifold("dim 4;\npiece m F4;\n")
     expr, verdict = compile(desc)
-    assert expr == Extension(FreeAbelian(2), SurfaceGroup("hyperbolic"))
+    assert expr == Lattice("F4", 4, True)
+    assert str(engine.bound(expr).bound) == "1..4"
     assert verdict.status == "NotAspherical"
     assert "no closed" in verdict.reason
 
@@ -175,11 +175,8 @@ def test_h2c_f4_graph_is_aspherical():
     desc = parse_manifold((FIXTURES / "h2c_f4_tree.mfd").read_text())
     expr, verdict = compile(desc)
     assert verdict.status == "Aspherical"
-    # the F4 vertex still compiles through its extension
     assert expr == Amalgam(
-        Lattice("H2C", 4, False),
-        Extension(FreeAbelian(2), SurfaceGroup("hyperbolic")),
-        Lattice("Nil3", 3, True),
+        Lattice("H2C", 4, False), Lattice("F4", 4, False), Lattice("Nil3", 3, True)
     )
 
 
@@ -227,16 +224,31 @@ def test_connected_sum_order_follows_sum_statement():
 def test_alexandrov_wraps_the_smooth_bound():
     desc = parse_manifold((FIXTURES / "alex_empty.mfd").read_text())
     expr, verdict = compile(desc)
-    assert isinstance(expr, ProperActionOn)
-    assert expr.label == "universal cover of the branched double cover"
-    assert str(expr.space_bound) == "3..3"
-    assert verdict.status == "Aspherical"
+    smooth, smooth_verdict = compile(ManifoldDesc(desc.dim, desc.summands))
+    assert expr == ActsOnCover(smooth)
+    assert verdict.status == smooth_verdict.status == "Aspherical"
     assert "empty singular set" in verdict.reason
+    assert str(engine.bound(expr).bound) == "0..3"
+    assert str(engine.bound(expr, aspherical_dim=3).bound) == "3..3"
 
     sing = parse_manifold((FIXTURES / "alex_sing.mfd").read_text())
     expr, verdict = compile(sing)
     assert verdict.status == "Undetermined"
     assert str(engine.bound(expr).bound) == "0..3"
+
+
+def test_compiling_loads_no_engine():
+    names = ("alex_graph.mfd", "h2c_f4_tree.mfd", "five_summands.mfd")
+    paths = [str(FIXTURES / name) for name in names]
+    code = f"""
+import sys
+from asdimlab.manifolds import compile, parse_manifold
+for path in {paths!r}:
+    compile(parse_manifold(open(path).read()))
+print(sorted(m for m in sys.modules if m.startswith("asdimlab.")))
+"""
+    loaded = ["asdimlab.bounds", "asdimlab.geometries", "asdimlab.groups", "asdimlab.manifolds"]
+    assert run_fresh(code).strip() == repr(loaded)
 
 
 def test_handles():

@@ -13,7 +13,7 @@ SUBMODULES = ("bounds", "cli", "coarse", "engine", "geometries", "groups", "mani
 
 
 def test_every_public_name_is_the_object_its_submodule_defines():
-    assert len(asdimlab.__all__) == len(set(asdimlab.__all__)) == 70
+    assert len(asdimlab.__all__) == len(set(asdimlab.__all__)) == 72
     for name in asdimlab.__all__:
         value = getattr(asdimlab, name)
         home = value.__module__

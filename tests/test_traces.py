@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 
-from conftest import make_expr
+from conftest import FIXTURES, make_cover_expr, make_expr
 
-from asdimlab.bounds import DimBound
+from asdimlab import manifolds
+from asdimlab.bounds import DimBound, finite
 from asdimlab.engine import (
     MalformedTraceError,
     ProofTrace,
@@ -14,7 +16,8 @@ from asdimlab.engine import (
     replay,
     serialize_trace,
 )
-from asdimlab.groups import Amalgam, FreeAbelian, Lattice, SurfaceGroup, Trivial
+from asdimlab.geometries import factor_facts, list_geometries, lookup_geometry
+from asdimlab.groups import ActsOnCover, Amalgam, FreeAbelian, Lattice, SurfaceGroup, Trivial
 
 
 def test_empty_trace_is_the_trivial_derivation():
@@ -109,3 +112,50 @@ def test_parsed_tampered_text_fails_replay():
     tampered = text.replace("3..3", "2..2")
     with pytest.raises(MalformedTraceError):
         replay(parse_trace(tampered))
+
+
+def test_acts_on_cover_traces_replay():
+    rng = random.Random(1618)
+    for _ in range(300):
+        expr = make_cover_expr(rng, depth=rng.randrange(0, 4))
+        result = bound(expr)
+        text = serialize_trace(result.trace)
+        assert replay(parse_trace(text)) == result.bound
+        cover = expr if isinstance(expr, ActsOnCover) else expr.factors[0]
+        assert bound(cover).bound == DimBound(0, bound(cover.space).bound.upper)
+
+
+_BY_NAME = {f.name: f for dim in (2, 3, 4) for f in list_geometries(dim)}
+_LATTICE = re.compile(r"Lattice\(([\w~]+),(\d+),(cocompact|cusped)\)")
+
+
+def _allowed_literals(rule_id: str, subject: str) -> tuple[DimBound, ...]:
+    """The literals a compiled fixture's step may carry: catalog model
+    dimensions, the F4 fiber and base, and a cusped piece's peripherals."""
+    model = re.fullmatch(r"model\(([\w~]+)\)", subject)
+    if model and rule_id == "R-PRODUCT":
+        return tuple(f.model_asdim for f in factor_facts(_BY_NAME[model[1]]))
+    lattice = _LATTICE.fullmatch(subject)
+    if lattice is None:
+        return ()
+    fact = lookup_geometry(lattice[1], int(lattice[2]))
+    if rule_id == "R-PROPER-ACTION":
+        return (fact.model_asdim,)
+    if rule_id == "R-EXTENSION" and fact.name == "F4":
+        return (DimBound.exact(2), DimBound(0, finite(2)))
+    if rule_id == "R-RELHYP" and lattice[3] == "cusped":
+        return (DimBound(0, finite(fact.dim - 1)),)
+    return ()
+
+
+def test_fixture_trace_literals_come_from_the_catalog():
+    good = [p for p in sorted(FIXTURES.rglob("*.mfd")) if p.parent.name != "bad"]
+    assert len(good) == 45
+    for path in good:
+        desc = manifolds.parse_manifold(path.read_text())
+        expr, verdict = manifolds.compile(desc)
+        adim = desc.dim if verdict.status == "Aspherical" else None
+        for step in bound(expr, aspherical_dim=adim).trace.steps:
+            if step.literals:
+                allowed = _allowed_literals(step.rule_id, step.subject)
+                assert step.literals == allowed, (path.name, serialize_trace(ProofTrace((step,))))
