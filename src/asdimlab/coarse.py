@@ -13,9 +13,11 @@ Everything here is a fixed-scale experiment: a witness certifies one
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -23,8 +25,8 @@ if TYPE_CHECKING:
 
 DEFAULT_POINT_BUDGET = 200_000
 _BUDGET_ENV = "ASDIMLAB_POINT_BUDGET"
-# Largest dense int32 distance matrix a ball may ask for: 2 GiB, that is
-# at most 23,170 points.
+# Largest dense int32 distance matrix a FreeGroup or Heisenberg3 ball may
+# ask for: 2 GiB, that is at most 23,170 points.  Zn balls hold no matrix.
 MATRIX_BYTE_BUDGET = 2 * 1024**3
 # Most points min_families_exhaustive searches.
 SEARCH_POINT_LIMIT = 24
@@ -89,10 +91,14 @@ def parse_group_spec(text: str) -> GroupSpec:
 
 
 class FiniteMetricSpace:
-    """An indexed point set with an eager integer distance matrix.
+    """An indexed point set with integer distances.
 
-    Memory is quadratic in the point count; cayley_ball refuses a ball
-    whose matrix would exceed MATRIX_BYTE_BUDGET.
+    dist is a dense int32 matrix, or for a free abelian ball an L1Distances
+    oracle that computes entries on demand.  Readers use only what both
+    offer: dist.shape, dist[i, j] and the block dist[np.ix_(rows, cols)].
+    A matrix's memory is quadratic in the point count, so cayley_ball
+    refuses a FreeGroup or Heisenberg3 ball whose matrix would exceed
+    MATRIX_BYTE_BUDGET.
     """
 
     def __init__(self, points, dist, label: str):
@@ -107,10 +113,11 @@ class FiniteMetricSpace:
         """Exhaustive metric axioms check; meant for small test spaces."""
         import numpy as np
 
-        d = self.dist
         n = len(self.points)
-        if d.shape != (n, n):
+        if self.dist.shape != (n, n):
             raise ValueError("distance matrix shape mismatch")
+        every = range(n)
+        d = self.dist[np.ix_(every, every)]
         if np.any(np.diagonal(d) != 0):
             raise ValueError("nonzero diagonal")
         if np.any(d != d.T):
@@ -156,7 +163,9 @@ def cayley_ball(spec: GroupSpec, radius: int, point_budget: int | None = None) -
     """Ball of the given radius around the identity, in the word metric.
 
     Free abelian and free groups get true word-length distances from closed
-    forms.  Heisenberg3 uses breadth-first distances inside the ball
+    forms: a free abelian ball keeps its coordinates in one int32 array and
+    computes L1 distances on demand (L1Distances), a free group ball holds
+    a dense matrix.  Heisenberg3 uses breadth-first distances inside the ball
     (induced-ball metric), which can exceed the group's word metric near
     the boundary; the label carries a "metric=induced-ball" caveat so
     downstream output stays honest.
@@ -168,8 +177,9 @@ def cayley_ball(spec: GroupSpec, radius: int, point_budget: int | None = None) -
         _check_ball_size(spec, radius, expected, budget)
     label = f"group={spec} radius={radius}"
     if spec.family == "FreeAbelian":
-        points = _abelian_points(spec.rank, radius)
-        dist = _l1_matrix(points)
+        axes = _abelian_points(spec.rank, radius)
+        points = zip(*axes.tolist())
+        dist = L1Distances(axes)
     elif spec.family == "FreeGroup":
         points = _free_words(spec.rank, radius)
         dist = _word_matrix(points)
@@ -190,7 +200,7 @@ def _check_ball_size(spec: GroupSpec, radius: int, n: int, budget: int) -> None:
         raise BallBudgetError(
             f"{spec} ball of radius {radius} has more than {budget} points, the point budget"
         )
-    if 4 * n * n > MATRIX_BYTE_BUDGET:
+    if spec.family != "FreeAbelian" and 4 * n * n > MATRIX_BYTE_BUDGET:
         raise BallBudgetError(
             f"{spec} ball of radius {radius} has {n} points, whose distance matrix"
             f" needs {4 * n * n} bytes; the limit is {MATRIX_BYTE_BUDGET}"
@@ -219,38 +229,61 @@ def _check_search_points(n: int) -> None:
         )
 
 
-def _abelian_points(rank: int, r: int) -> list[tuple[int, ...]]:
-    pts: list[tuple[int, ...]] = []
-    if rank == 1:
-        pts = [(x,) for x in range(-r, r + 1)]
-    else:
-        ranges = [range(-r, r + 1)] * rank
-        from itertools import product
-
-        pts = [p for p in product(*ranges) if sum(abs(c) for c in p) <= r]
-    pts.sort(key=lambda p: (sum(abs(c) for c in p), p))
-    return pts
-
-
-def _l1_matrix(points) -> np.ndarray:
-    """L1 distances, built one coordinate at a time in blocks of 256 rows,
-    so the only temporary besides the result is one (256, n) buffer."""
+def _abelian_points(rank: int, r: int) -> np.ndarray:
+    """The radius-r ball as a (rank, points) int32 array, one row per axis,
+    its points sorted by L1 norm and then lexicographically."""
     import numpy as np
 
-    axes = np.ascontiguousarray(np.asarray(points, dtype=np.int32).T)
-    n = axes.shape[1]
-    dist = np.empty((n, n), dtype=np.int32)
-    buf = np.empty((min(n, 256), n), dtype=np.int32)
-    for start in range(0, n, 256):
-        rows = dist[start : start + 256]
-        np.subtract(axes[0, start : start + 256, None], axes[0], out=rows)
-        np.abs(rows, out=rows)
-        part = buf[: len(rows)]
-        for axis in axes[1:]:
-            np.subtract(axis[start : start + 256, None], axis, out=part)
-            np.abs(part, out=part)
-            rows += part
-    return dist
+    grid = np.indices((2 * r + 1,) * rank, dtype=np.int32).reshape(rank, -1)
+    grid -= r
+    norm = np.abs(grid).sum(axis=0, dtype=np.int32)
+    keep = norm <= r
+    grid, norm = grid[:, keep], norm[keep]
+    # lexsort sorts by its last key first: the norm, then x0, x1, ...
+    return grid[:, np.lexsort((*grid[::-1], norm))]
+
+
+class L1Distances:
+    """The L1 distance matrix of a point set, computed entry by entry or
+    block by block from the coordinates and never stored.
+
+    Indexing follows the dense matrix it stands for: dist[i, j] is an int
+    and dist[np.ix_(rows, cols)] the int32 block.  A block is built one
+    axis at a time with in-place ufuncs; from the second axis on, its rows
+    go through one buffer of at most 128 rows, so a block of 256 rows, as
+    verify_cover asks for, peaks at 1.5 times its size plus the gathered
+    coordinates.
+    """
+
+    def __init__(self, axes: np.ndarray):
+        """axes: the (rank, points) int32 coordinates, one row per axis."""
+        self.axes = axes
+        # The rows as a tuple, which unpacks faster than the array.
+        self._axis_rows = tuple(axes)
+        self.shape = (axes.shape[1], axes.shape[1])
+
+    def __getitem__(self, key) -> int | np.ndarray:
+        import numpy as np
+
+        rows, cols = key
+        if not (isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray)):
+            i, j = operator.index(rows), operator.index(cols)
+            return sum(abs(int(axis[i]) - int(axis[j])) for axis in self._axis_rows)
+        if rows.ndim != 2 or cols.ndim != 2:
+            raise IndexError("index L1Distances with two integers or with np.ix_(rows, cols)")
+        first, *rest = self._axis_rows
+        block = np.subtract(first[rows], first[cols])
+        np.abs(block, out=block)
+        if rest:
+            buf = np.empty_like(block[:128])
+            for start in range(0, len(block), 128):
+                part_rows, part = rows[start : start + 128], block[start : start + 128]
+                tmp = buf[: len(part)]
+                for axis in rest:
+                    np.subtract(axis[part_rows], axis[cols], out=tmp)
+                    np.abs(tmp, out=tmp)
+                    part += tmp
+        return block
 
 
 _LETTER_ORDER = {1: 0, -1: 1, 2: 2, -2: 3}
@@ -444,22 +477,36 @@ def brick_cover(n: int, D: int, radius: int, point_budget: int | None = None) ->
     import numpy as np
 
     space = cayley_ball(GroupSpec("FreeAbelian", n), radius, point_budget)
-    T = D + 1
+    axes = space.dist.axes
+    # |x - y|_1 is the largest s.(x - y) over sign vectors s, and s and -s
+    # give the same spread, so a brick's diameter is the widest spread of
+    # its points' projections on the sign vectors with s[0] = 1.
+    signs = np.array([(1, *s) for s in product((1, -1), repeat=n - 1)], dtype=np.int32)
+    # Every D >= radius gives the same bricks (family 0 empty, each other
+    # family the whole ball), so a capped T keeps the arithmetic in int32.
+    T = min(D, radius) + 1
     S = 2 * (n + 1) * T
     families: list[list[list[int]]] = []
-    for i in range(n + 1):
-        shift = 2 * T * i
-        bricks: dict[tuple[int, ...], list[int]] = {}
-        for idx, p in enumerate(space.points):
-            shifted = [c - shift for c in p]
-            if all(T <= (c % S) < S - T for c in shifted):
-                key = tuple(c // S for c in shifted)
-                bricks.setdefault(key, []).append(idx)
-        families.append([bricks[k] for k in sorted(bricks)])
     B = 0
-    for family in families:
-        for subset in family:
-            B = max(B, _block_reduce(np.maximum, space.dist, subset, subset))
+    for i in range(n + 1):
+        shifted = axes - 2 * T * i
+        phase = shifted % S
+        kept = np.flatnonzero(((phase >= T) & (phase < S - T)).all(axis=0))
+        keys = shifted[:, kept] // S
+        # A stable sort by brick key, first axis first, keeps each brick's
+        # indices ascending.
+        order = np.lexsort(keys[::-1])
+        kept, keys = kept[order], keys[:, order]
+        new_brick = np.ones(len(kept), dtype=bool)
+        new_brick[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+        starts = np.flatnonzero(new_brick)
+        members = kept.tolist()
+        bounds = starts.tolist() + [len(members)]
+        families.append([members[a:b] for a, b in zip(bounds, bounds[1:])])
+        if len(kept):
+            proj = signs @ axes[:, kept]
+            top = np.maximum.reduceat(proj, starts, axis=1)
+            B = max(B, int((top - np.minimum.reduceat(proj, starts, axis=1)).max()))
     assert B <= 2 * n * (n + 1) * (D + 1), "brick diameter exceeded its proven bound"
     return CoverWitness(space, families, D, B)
 
@@ -610,7 +657,11 @@ def min_families_exhaustive(
         raise ValueError(f"k_max must be 1..4, got {k_max}")
     if D < 1 or B < 1:
         raise ValueError("D and B must be positive")
-    dist = space.dist.tolist()
+    import numpy as np
+
+    every = np.arange(n)
+    # The whole matrix, keyed as np.ix_(every, every) would key it.
+    dist = space.dist[every[:, None], every[None, :]].tolist()
     near = [0] * n
     far = [0] * n
     for i, row in enumerate(dist):

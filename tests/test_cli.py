@@ -203,7 +203,8 @@ def _refuse(*args):
 
 
 def test_cover_search_refuses_a_large_ball_before_building_it(capsys, monkeypatch):
-    monkeypatch.setattr(asdimlab.coarse, "_l1_matrix", _refuse)
+    monkeypatch.setattr(asdimlab.coarse, "_abelian_points", _refuse)
+    monkeypatch.setattr(asdimlab.coarse, "L1Distances", _refuse)
     code, out, err = run(
         capsys, "cover", "search", "--group", "FreeAbelian(2)", "--radius", "100",
         "-D", "1", "-B", "2",
@@ -239,10 +240,10 @@ def test_cover_verify_refuses_a_huge_label_radius(tmp_path, capsys):
 
 
 def test_cover_verify_refuses_a_label_whose_matrix_is_too_large(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(asdimlab.coarse, "_abelian_points", _refuse)
-    monkeypatch.setattr(asdimlab.coarse, "_l1_matrix", _refuse)
+    monkeypatch.setattr(asdimlab.coarse, "_free_words", _refuse)
+    monkeypatch.setattr(asdimlab.coarse, "_word_matrix", _refuse)
     target = tmp_path / "w.txt"
-    target.write_text("coarse-witness v1\ngroup=FreeAbelian(2) radius=315\nD 1\nB 0\n0:0 0\n")
+    target.write_text("coarse-witness v1\ngroup=FreeGroup(2) radius=10\nD 1\nB 0\n0:0 0\n")
     code, out, err = run(capsys, "cover", "verify", str(target))
     assert code == 2 and out == ""
     assert "distance matrix" in err

@@ -144,13 +144,21 @@ def test_matrix_byte_budget_refuses_before_building(monkeypatch):
     # 2 GiB holds the matrix of 23,170 points, not of 23,171.
     assert MATRIX_BYTE_BUDGET == 2 * 1024**3
     assert 4 * 23_170**2 <= MATRIX_BYTE_BUDGET < 4 * 23_171**2
-    for name in ("_abelian_points", "_l1_matrix", "_free_words", "_word_matrix"):
+    for name in ("_free_words", "_word_matrix"):
         monkeypatch.setattr(coarse, name, _refuse)
-    # 199,081 points fit the point budget, but their matrix would take 158 GB.
-    with pytest.raises(BallBudgetError, match="199081 points"):
-        cayley_ball(GroupSpec("FreeAbelian", 2), 315)
+    # 118,097 points fit the point budget, but their matrix would take 56 GB.
     with pytest.raises(BallBudgetError, match="118097 points"):
         cayley_ball(GroupSpec("FreeGroup", 2), 10)
+
+
+def test_free_abelian_ball_past_the_matrix_limit_builds_without_one():
+    # 199,081 points would need a 158 GB matrix; the L1 oracle needs none.
+    ball, peak = _traced_peak(lambda: cayley_ball(GroupSpec("FreeAbelian", 2), 315))
+    assert len(ball) == 199_081 and ball.dist.shape == (199_081, 199_081)
+    assert peak < 64 * 2**20, peak
+    assert ball.points[-1] == (315, 0)
+    assert ball.dist[0, len(ball) - 1] == 315
+    assert ball.dist[ball.points.index((-315, 0)), len(ball) - 1] == 630
 
 
 def test_matrix_byte_budget_counts_heisenberg_points(monkeypatch):
@@ -178,7 +186,7 @@ def test_heisenberg_ball_past_the_matrix_limit_stops_at_once(monkeypatch):
 
 
 def test_huge_radii_are_refused_without_forming_their_count(monkeypatch):
-    for name in ("_abelian_points", "_l1_matrix", "_free_words", "_word_matrix"):
+    for name in ("_abelian_points", "L1Distances", "_free_words", "_word_matrix"):
         monkeypatch.setattr(coarse, name, _refuse)
     # 3**50_000 and 2 * (10**4000)**2 have far more digits than str() prints.
     for spec, radius in (
@@ -195,7 +203,7 @@ def test_huge_radii_are_refused_without_forming_their_count(monkeypatch):
 
 
 def test_search_size_is_checked_before_any_distance(monkeypatch):
-    for name in ("_l1_matrix", "_word_matrix", "_induced_matrix"):
+    for name in ("L1Distances", "_word_matrix", "_induced_matrix"):
         monkeypatch.setattr(coarse, name, _refuse)
     for spec, radius in (
         (GroupSpec("FreeAbelian", 2), 3),  # 25 points, one too many
@@ -263,7 +271,16 @@ def _induced_reference(points, neighbors):
 def test_matrix_builders_match_their_definitions(spec, radius):
     points = cayley_ball(spec, radius).points
     if spec.family == "FreeAbelian":
-        got, want = coarse._l1_matrix(points), _l1_reference(points)
+        oracle, want = coarse.L1Distances(np.array(points, dtype=np.int32).T), _l1_reference(points)
+        n = len(points)
+        assert oracle.shape == (n, n)
+        got = oracle[np.ix_(range(n), range(n))]
+        rng = random.Random(radius)
+        pairs = [(0, 0), (0, n - 1), (n - 1, 0)]
+        pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(50)]
+        for i, j in pairs:
+            entry = oracle[i, j]
+            assert type(entry) is int and entry == want[i][j], (i, j)
     elif spec.family == "FreeGroup":
         got, want = coarse._word_matrix(points), _word_reference(points)
     else:
@@ -273,6 +290,32 @@ def test_matrix_builders_match_their_definitions(spec, radius):
     assert got.dtype == np.int32
     assert got.shape == (len(points), len(points))
     assert got.tolist() == want
+
+
+def test_l1_blocks_follow_the_index_order():
+    ball = cayley_ball(GroupSpec("FreeAbelian", 3), 3)
+    want = _l1_reference(ball.points)
+    rng = random.Random(7)
+    for rows, cols in (([5], [5]), ([], [1, 2]), ([3, 1, 3], [0]), (list(range(9)), [9, 2, 9, 40])):
+        block = ball.dist[np.ix_(rows, cols)]
+        assert block.dtype == np.int32
+        assert block.tolist() == [[want[i][j] for j in cols] for i in rows]
+    rows = [rng.randrange(len(ball)) for _ in range(37)]
+    cols = [rng.randrange(len(ball)) for _ in range(41)]
+    assert ball.dist[np.ix_(rows, cols)].tolist() == [[want[i][j] for j in cols] for i in rows]
+    # Keys a dense matrix would read pairwise are refused, not read as blocks.
+    with pytest.raises(IndexError):
+        ball.dist[np.array([0, 1]), np.array([2, 3])]
+    with pytest.raises(TypeError):
+        ball.dist[[0, 1], [2, 3]]
+
+
+def test_an_l1_block_needs_at_most_one_buffer_of_its_size():
+    ball = cayley_ball(GroupSpec("FreeAbelian", 2), 60)
+    key = np.ix_(range(256), range(len(ball)))
+    block, peak = _traced_peak(lambda: ball.dist[key])
+    assert block.shape == (256, 7321)
+    assert peak <= 2 * block.nbytes, (peak, block.nbytes)
 
 
 def _traced_peak(build):
@@ -285,21 +328,21 @@ def _traced_peak(build):
 
 
 def test_builders_and_verify_allocate_no_square_temporary():
-    for spec, radius in (
-        (GroupSpec("FreeAbelian", 2), 36),
-        (GroupSpec("FreeGroup", 2), 6),
-        (GroupSpec("Heisenberg3"), 7),
-    ):
+    # A matrix-backed ball may take its matrix and a quarter more; a free
+    # abelian ball, brick or verification has no matrix and gets 8 MB.
+    for spec, radius in ((GroupSpec("FreeGroup", 2), 6), (GroupSpec("Heisenberg3"), 7)):
         ball, peak = _traced_peak(lambda: cayley_ball(spec, radius))
         matrix = ball.dist.nbytes
         assert peak <= matrix + max(16 * 2**20, matrix // 4), (str(spec), peak, matrix)
-    for rank, D, radius in ((2, 2, 28), (3, 3, 12)):
+    cap = 8 * 2**20
+    ball, peak = _traced_peak(lambda: cayley_ball(GroupSpec("FreeAbelian", 2), 36))
+    assert len(ball) == 2665 and peak <= cap, peak
+    for rank, D, radius in ((2, 2, 28), (3, 3, 12), (2, 5, 60)):
         witness, peak = _traced_peak(lambda: brick_cover(rank, D, radius))
-        matrix = witness.space.dist.nbytes
-        assert peak <= matrix + max(16 * 2**20, matrix // 4), (rank, D, radius, peak, matrix)
+        assert peak <= cap, (rank, D, radius, peak)
         report, peak = _traced_peak(lambda: verify_cover(witness))
         assert report.valid
-        assert peak < matrix // 4, (rank, D, radius, peak, matrix)
+        assert peak <= cap, (rank, D, radius, peak)
 
 
 def test_radius_must_be_positive():
@@ -320,6 +363,40 @@ def test_brick_cover_structure():
         seen = [i for subset in family for i in subset]
         assert len(seen) == len(set(seen))
         assert set(seen) <= set(range(n))
+
+
+def _brick_reference(rank, D, radius):
+    """brick_cover's construction point by point: shift, window test and
+    brick key for each point and family, and each brick's diameter from
+    all of its pairs."""
+    space = cayley_ball(GroupSpec("FreeAbelian", rank), radius)
+    T = D + 1
+    S = 2 * (rank + 1) * T
+    families = []
+    for i in range(rank + 1):
+        bricks = {}
+        for idx, p in enumerate(space.points):
+            shifted = [c - 2 * T * i for c in p]
+            if all(T <= c % S < S - T for c in shifted):
+                bricks.setdefault(tuple(c // S for c in shifted), []).append(idx)
+        families.append([bricks[key] for key in sorted(bricks)])
+    B = 0
+    for family in families:
+        for subset in family:
+            coords = np.array([space.points[i] for i in subset], dtype=np.int64)
+            B = max(B, int(np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2).max()))
+    return CoverWitness(space, families, D, B)
+
+
+@pytest.mark.parametrize("rank,radii", [(1, (1, 9, 40)), (2, (4, 6, 13)), (3, (3, 5, 10))])
+def test_brick_cover_matches_its_point_by_point_reading(rank, radii):
+    # D at and far past the radius as well, where every D gives the same bricks.
+    cases = [(D, radius) for D in (1, 2, 3) for radius in radii]
+    cases += [(radii[0], radii[0]), (radii[0] + 1, radii[0]), (10**30, radii[0])]
+    for D, radius in cases:
+        got, want = brick_cover(rank, D, radius), _brick_reference(rank, D, radius)
+        assert got.families == want.families, (rank, D, radius)
+        assert format_witness(got) == format_witness(want), (rank, D, radius)
 
 
 def test_brick_cover_rejects_bad_parameters():
