@@ -233,15 +233,14 @@ def cmd_cover_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_cover_search(args: argparse.Namespace) -> int:
-    from .coarse import BallBudgetError, check_search_size, parse_group_spec
+    from .coarse import SEARCH_POINT_LIMIT, BallBudgetError, parse_group_spec
 
     cayley_ball, min_families_exhaustive, format_witness = _load(
         "cayley_ball", "min_families_exhaustive", "format_witness"
     )
     spec = parse_group_spec(args.group)
     try:
-        check_search_size(spec, args.radius)
-        space = cayley_ball(spec, args.radius)
+        space = cayley_ball(spec, args.radius, SEARCH_POINT_LIMIT)
         result = min_families_exhaustive(space, args.D, args.B, args.k_max)
     except BallBudgetError as exc:
         return _error(f"error: {exc}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
@@ -24,7 +23,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_POINT_BUDGET = 200_000
-_BUDGET_ENV = "ASDIMLAB_POINT_BUDGET"
 # Largest dense int32 distance matrix a FreeGroup or Heisenberg3 ball may
 # ask for: 2 GiB, that is at most 23,170 points.  Zn balls hold no matrix.
 MATRIX_BYTE_BUDGET = 2 * 1024**3
@@ -96,9 +94,9 @@ class FiniteMetricSpace:
     dist is a dense int32 matrix, or for a free abelian ball an L1Distances
     oracle that computes entries on demand.  Readers use only what both
     offer: dist.shape, dist[i, j] and the block dist[np.ix_(rows, cols)].
-    A matrix's memory is quadratic in the point count, so cayley_ball
-    refuses a FreeGroup or Heisenberg3 ball whose matrix would exceed
-    MATRIX_BYTE_BUDGET.
+    A matrix's memory is quadratic in the point count; cayley_ball, the
+    one place that refuses a ball, refuses a FreeGroup or Heisenberg3 ball
+    whose matrix would exceed MATRIX_BYTE_BUDGET before building it.
     """
 
     def __init__(self, points, dist, label: str):
@@ -130,22 +128,14 @@ class FiniteMetricSpace:
                 raise ValueError(f"triangle inequality fails through point {k}")
 
 
-def _budget(override: int | None) -> int:
-    if override is not None:
-        return override
-    return int(os.environ.get(_BUDGET_ENV, str(DEFAULT_POINT_BUDGET)))
-
-
-def _ball_count(spec: GroupSpec, r: int, limit: int) -> int | None:
-    """Closed-form point count, or limit + 1 when it is larger than limit
-    (None for Heisenberg3, which has no closed form).
+def _ball_count(spec: GroupSpec, r: int, limit: int) -> int:
+    """Closed-form point count of a FreeAbelian or FreeGroup ball, or
+    limit + 1 when it is larger than limit.
 
     Every ball of radius r holds the 2r + 1 powers of one generator, and a
     FreeGroup(2) ball more than 2**r words, so a huge radius is refused
     without forming a huge count.
     """
-    if spec.family == "Heisenberg3":
-        return None
     if 2 * r + 1 > limit:
         return limit + 1
     if spec.rank == 1:
@@ -159,7 +149,9 @@ def _ball_count(spec: GroupSpec, r: int, limit: int) -> int | None:
     return min(count, limit + 1)
 
 
-def cayley_ball(spec: GroupSpec, radius: int, point_budget: int | None = None) -> FiniteMetricSpace:
+def cayley_ball(
+    spec: GroupSpec, radius: int, point_budget: int = DEFAULT_POINT_BUDGET
+) -> FiniteMetricSpace:
     """Ball of the given radius around the identity, in the word metric.
 
     Free abelian and free groups get true word-length distances from closed
@@ -169,12 +161,33 @@ def cayley_ball(spec: GroupSpec, radius: int, point_budget: int | None = None) -
     (induced-ball metric), which can exceed the group's word metric near
     the boundary; the label carries a "metric=induced-ball" caveat so
     downstream output stays honest.
+
+    This is the one place that refuses a ball, before it allocates an
+    array or imports numpy: a radius below 1 raises ValueError, and a ball
+    of more than point_budget points, or a FreeGroup or Heisenberg3 ball
+    whose dense int32 matrix would exceed MATRIX_BYTE_BUDGET, raises
+    BallBudgetError.  The closed-form families are counted; Heisenberg3
+    has no closed form, so its breadth-first search stops one point past
+    the smaller limit.
     """
-    _check_radius(radius)
-    budget = _budget(point_budget)
-    expected = _ball_count(spec, radius, budget)
-    if expected is not None:
-        _check_ball_size(spec, radius, expected, budget)
+    if radius < 1:
+        raise ValueError(f"radius must be positive, got {radius}")
+    matrix_limit = math.isqrt(MATRIX_BYTE_BUDGET // 4)
+    if spec.family == "Heisenberg3":
+        limit = min(point_budget, matrix_limit)
+        points = _heisenberg_points(radius, limit)
+        n = limit + 1 if points is None else len(points)
+    else:
+        n = _ball_count(spec, radius, point_budget)
+    if n > point_budget:
+        raise BallBudgetError(
+            f"{spec} ball of radius {radius} has more than {point_budget} points, the point budget"
+        )
+    if spec.family != "FreeAbelian" and n > matrix_limit:
+        raise BallBudgetError(
+            f"{spec} ball of radius {radius} has more than {matrix_limit} points, whose"
+            f" distance matrix would exceed the limit of {MATRIX_BYTE_BUDGET} bytes"
+        )
     label = f"group={spec} radius={radius}"
     if spec.family == "FreeAbelian":
         axes = _abelian_points(spec.rank, radius)
@@ -184,49 +197,10 @@ def cayley_ball(spec: GroupSpec, radius: int, point_budget: int | None = None) -
         points = _free_words(spec.rank, radius)
         dist = _word_matrix(points)
     else:
-        points = _heisenberg_points(radius, budget)
+        # points is the ball the size check above walked.
         dist = _induced_matrix(points, _heisenberg_neighbors)
         label += " metric=induced-ball"
     return FiniteMetricSpace(points, dist, label)
-
-
-def _check_radius(radius: int) -> None:
-    if radius < 1:
-        raise ValueError(f"radius must be positive, got {radius}")
-
-
-def _check_ball_size(spec: GroupSpec, radius: int, n: int, budget: int) -> None:
-    if n > budget:
-        raise BallBudgetError(
-            f"{spec} ball of radius {radius} has more than {budget} points, the point budget"
-        )
-    if spec.family != "FreeAbelian" and 4 * n * n > MATRIX_BYTE_BUDGET:
-        raise BallBudgetError(
-            f"{spec} ball of radius {radius} has {n} points, whose distance matrix"
-            f" needs {4 * n * n} bytes; the limit is {MATRIX_BYTE_BUDGET}"
-        )
-
-
-def check_search_size(spec: GroupSpec, radius: int) -> None:
-    """Refuse a ball too large for min_families_exhaustive before any
-    distance is computed."""
-    _check_radius(radius)
-    n = _ball_count(spec, radius, SEARCH_POINT_LIMIT)
-    if n is None:
-        # Heisenberg3: the breadth-first search refuses past the limit.
-        _heisenberg_points(radius, SEARCH_POINT_LIMIT)
-    elif n > SEARCH_POINT_LIMIT:
-        raise BallBudgetError(
-            f"exhaustive search is limited to {SEARCH_POINT_LIMIT} points;"
-            f" the {spec} ball of radius {radius} has more"
-        )
-
-
-def _check_search_points(n: int) -> None:
-    if n > SEARCH_POINT_LIMIT:
-        raise BallBudgetError(
-            f"exhaustive search is limited to {SEARCH_POINT_LIMIT} points, got {n}"
-        )
 
 
 def _abelian_points(rank: int, r: int) -> np.ndarray:
@@ -284,9 +258,6 @@ class L1Distances:
                     np.abs(tmp, out=tmp)
                     part += tmp
         return block
-
-
-_LETTER_ORDER = {1: 0, -1: 1, 2: 2, -2: 3}
 
 
 def _free_words(rank: int, r: int) -> list[tuple[int, ...]]:
@@ -357,15 +328,9 @@ def _heisenberg_neighbors(p: tuple[int, int, int]):
     )
 
 
-def _heisenberg_points(r: int, budget: int) -> list[tuple[int, int, int]]:
-    """The radius-r ball, sorted by word length and then coordinates.
-
-    There is no closed-form count, so the breadth-first search itself
-    stops one point past the point budget or past the most points whose
-    distance matrix fits MATRIX_BYTE_BUDGET, whichever is smaller, and
-    raises BallBudgetError naming that limit.
-    """
-    limit = min(budget, math.isqrt(MATRIX_BYTE_BUDGET // 4))
+def _heisenberg_points(r: int, limit: int) -> list[tuple[int, int, int]] | None:
+    """The radius-r ball, sorted by word length and then coordinates, or
+    None once the breadth-first search finds more than limit points."""
     lengths = {(0, 0, 0): 0}
     frontier = deque([(0, 0, 0)])
     while frontier:
@@ -376,17 +341,9 @@ def _heisenberg_points(r: int, budget: int) -> list[tuple[int, int, int]]:
             if q not in lengths:
                 lengths[q] = lengths[p] + 1
                 if len(lengths) > limit:
-                    if limit == budget:
-                        raise BallBudgetError(
-                            f"Heisenberg3 ball of radius {r} exceeds the budget of {budget} points"
-                        )
-                    raise BallBudgetError(
-                        f"Heisenberg3 ball of radius {r} has more than {limit} points, whose"
-                        f" distance matrix would exceed the limit of {MATRIX_BYTE_BUDGET} bytes"
-                    )
+                    return None
                 frontier.append(q)
-    pts = sorted(lengths, key=lambda p: (lengths[p], p))
-    return pts
+    return sorted(lengths, key=lambda p: (lengths[p], p))
 
 
 def _induced_matrix(points, neighbors) -> np.ndarray:
@@ -452,7 +409,7 @@ class CoverReport:
     violations: list[str]
 
 
-def brick_cover(n: int, D: int, radius: int, point_budget: int | None = None) -> CoverWitness:
+def brick_cover(n: int, D: int, radius: int) -> CoverWitness:
     """Shifted-brick cover of the rank-n free abelian ball.
 
     Args:
@@ -474,9 +431,9 @@ def brick_cover(n: int, D: int, radius: int, point_budget: int | None = None) ->
         raise ValueError(f"brick covers support ranks 1..3, got {n}")
     if D < 1:
         raise ValueError(f"separation D must be positive, got {D}")
+    space = cayley_ball(GroupSpec("FreeAbelian", n), radius)
     import numpy as np
 
-    space = cayley_ball(GroupSpec("FreeAbelian", n), radius, point_budget)
     axes = space.dist.axes
     # |x - y|_1 is the largest s.(x - y) over sign vectors s, and s and -s
     # give the same spread, so a brick's diameter is the widest spread of
@@ -652,7 +609,10 @@ def min_families_exhaustive(
     far[v] inside the component.
     """
     n = len(space)
-    _check_search_points(n)
+    if n > SEARCH_POINT_LIMIT:
+        raise BallBudgetError(
+            f"exhaustive search is limited to {SEARCH_POINT_LIMIT} points, got {n}"
+        )
     if not 1 <= k_max <= 4:
         raise ValueError(f"k_max must be 1..4, got {k_max}")
     if D < 1 or B < 1:

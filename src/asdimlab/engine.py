@@ -445,9 +445,6 @@ class Consequence:
     citation: str
 
 
-CONSEQUENCE_KINDS = ("CoarseBaumConnes", "Novikov", "ZeroInSpectrum", "NoPSCMetric")
-
-
 def consequences(bound: DimBound, aspherical: bool) -> tuple[Consequence, ...]:
     """Corollary-level conclusions supported by a derived bound.
 

@@ -50,7 +50,6 @@ from .geometries import UnknownGeometryError, lookup_geometry
 from .groups import (
     ActsOnCover,
     Amalgam,
-    FreeAbelian,
     FreeProduct,
     GroupExpr,
     HNN,
@@ -92,16 +91,6 @@ class GeometricPiece:
 
 
 @dataclass(frozen=True)
-class Handle:
-    """A connected-sum handle: one S3xE summand contributing an infinite
-    cyclic group.  Handles are created by connected_sum_with_handles, never
-    by the parser; render() writes them as S3xE pieces, which reparse to
-    GeometricPiece values that compile to a lattice of the same bound."""
-
-    name: str
-
-
-@dataclass(frozen=True)
 class GraphVertex:
     id: str
     geometry: str
@@ -123,7 +112,7 @@ class DecompGraph:
     pos: tuple[int, int] = field(default=(1, 1), compare=False)
 
 
-Summand = GeometricPiece | Handle | DecompGraph
+Summand = GeometricPiece | DecompGraph
 
 
 @dataclass(frozen=True)
@@ -329,17 +318,12 @@ def parse_manifold(text: str) -> ManifoldDesc:
             p.expect_punct("}")
             if not vertices:
                 p.fail(name_tok, f"graph {name!r} declares no vertices")
-            if not _connected(vertices, edges):
-                p.fail(name_tok, f"graph {name!r} is not connected")
-            summands.append(
-                DecompGraph(
-                    name,
-                    tuple(vertices),
-                    tuple(edges),
-                    injective,
-                    pos=(name_tok.line, name_tok.col),
-                )
+            graph = DecompGraph(
+                name, tuple(vertices), tuple(edges), injective, pos=(name_tok.line, name_tok.col)
             )
+            if len(_spanning_tree(graph)[0]) != len(vertices) - 1:
+                p.fail(name_tok, f"graph {name!r} is not connected")
+            summands.append(graph)
         elif p.at_keyword("sum"):
             tok = p.advance()
             if sum_names is not None:
@@ -386,24 +370,6 @@ def parse_manifold(text: str) -> ManifoldDesc:
     return ManifoldDesc(dim, tuple(ordered), alexandrov, singular)
 
 
-def _connected(vertices: list[GraphVertex], edges: list[GraphEdge]) -> bool:
-    index = {v.id: i for i, v in enumerate(vertices)}
-    adj: list[set[int]] = [set() for _ in vertices]
-    for e in edges:
-        a, b = index[e.source], index[e.target]
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(vertices)
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 
@@ -415,8 +381,6 @@ def render(desc: ManifoldDesc) -> str:
     for s in desc.summands:
         if isinstance(s, GeometricPiece):
             lines.append(f"piece {s.name} {s.geometry};")
-        elif isinstance(s, Handle):
-            lines.append(f"piece {s.name} S3xE;")
         else:
             lines.append(f"graph {s.name} {{")
             for v in s.vertices:
@@ -590,15 +554,11 @@ def _lone_piece(s: Summand) -> str | None:
 
 
 def _summand_expr(s: Summand, dim: int) -> GroupExpr:
-    if isinstance(s, Handle):
-        return FreeAbelian(1)
     geometry = _lone_piece(s)
     return _graph_expr(s, dim) if geometry is None else Lattice(geometry, dim, True)
 
 
 def _summand_verdict(s: Summand, dim: int) -> AsphericityVerdict:
-    if isinstance(s, Handle):
-        return _piece_verdict("S3xE", 4)
     geometry = _lone_piece(s)
     return _graph_verdict(s, dim) if geometry is None else _piece_verdict(geometry, dim)
 
@@ -647,7 +607,8 @@ def compile(desc: ManifoldDesc) -> CompileResult:
 
 
 def connected_sum_with_handles(desc: ManifoldDesc, k: int) -> ManifoldDesc:
-    """Append k handle summands (each compiling to the infinite cyclic group).
+    """Append k handle summands, each an S3xE piece: its lattice is
+    virtually infinite cyclic, with bound 1..1.
 
     Dim-4 only. Handle names are handle1, handle2, ... with collisions
     against existing summand names skipped.
@@ -657,7 +618,7 @@ def connected_sum_with_handles(desc: ManifoldDesc, k: int) -> ManifoldDesc:
     if k < 0:
         raise ValueError(f"handle count must be non-negative, got {k}")
     taken = {s.name for s in desc.summands}
-    handles: list[Handle] = []
+    handles: list[GeometricPiece] = []
     counter = 1
     while len(handles) < k:
         name = f"handle{counter}"
@@ -665,7 +626,7 @@ def connected_sum_with_handles(desc: ManifoldDesc, k: int) -> ManifoldDesc:
         if name in taken:
             continue
         taken.add(name)
-        handles.append(Handle(name))
+        handles.append(GeometricPiece(name, "S3xE"))
     return ManifoldDesc(
         desc.dim,
         desc.summands + tuple(handles),

@@ -2,6 +2,7 @@
 
 import ast
 import json
+from collections import Counter
 
 import pytest
 
@@ -220,6 +221,58 @@ def test_cover_search_refuses_a_huge_radius_at_once(capsys, radius):
     )
     assert code == 2 and out == ""
     assert "24 points" in err
+
+
+def test_heisenberg_search_walks_its_ball_once(capsys, monkeypatch):
+    spec = asdimlab.coarse.GroupSpec("Heisenberg3")
+    interior = asdimlab.coarse.cayley_ball(spec, 1).points
+    ball = asdimlab.coarse.cayley_ball(spec, 2).points
+    calls = []
+    real = asdimlab.coarse._heisenberg_neighbors
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(asdimlab.coarse, "_heisenberg_neighbors", counted)
+    code, out, _ = run(
+        capsys, "cover", "search", "--group", "Heisenberg3", "--radius", "2", "-D", "1", "-B", "2",
+    )
+    assert code in (0, 1) and out.startswith("k=")
+    # One breadth-first search expands each interior point, and the
+    # distance matrix reads the neighbours of every point once.
+    assert Counter(calls) == Counter(interior + ball)
+
+
+# Runs commands in a fresh interpreter in which numpy cannot be imported,
+# and prints each one's exit code and stderr.
+_NO_NUMPY_CHILD = """
+import contextlib, io, sys
+sys.modules["numpy"] = None
+from asdimlab.cli import main
+
+results = []
+for argv in ARGVS:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append((code, err.getvalue()))
+print(repr(results))
+"""
+
+
+def test_oversize_balls_are_refused_without_numpy(tmp_path):
+    label = tmp_path / "w.txt"
+    label.write_text("coarse-witness v1\ngroup=FreeGroup(2) radius=1000000\nD 1\nB 0\n0:0 0\n")
+    argvs = [
+        ["cover", "search", "--group", "FreeAbelian(2)", "--radius", "100", "-D", "1", "-B", "2"],
+        ["cover", "search", "--group", "Heisenberg3", "--radius", "1000", "-D", "1", "-B", "2"],
+        ["cover", "build", "--rank", "3", "-D", "1", "--radius", "1000"],
+        ["cover", "verify", str(label)],
+    ]
+    results = ast.literal_eval(run_fresh(_NO_NUMPY_CHILD.replace("ARGVS", repr(argvs))))
+    for argv, (code, err) in zip(argvs, results):
+        assert code == 2 and "points" in err and "Traceback" not in err, (argv, err)
 
 
 def test_cover_verify_refuses_a_huge_label_radius(tmp_path, capsys):

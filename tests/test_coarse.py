@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from asdimlab import coarse
 from asdimlab.coarse import (
     MATRIX_BYTE_BUDGET,
+    SEARCH_POINT_LIMIT,
     BallBudgetError,
     CoverWitness,
     FiniteMetricSpace,
@@ -25,7 +26,6 @@ from asdimlab.coarse import (
     WitnessFormatError,
     brick_cover,
     cayley_ball,
-    check_search_size,
     format_witness,
     min_families_exhaustive,
     parse_group_spec,
@@ -128,14 +128,6 @@ def test_budget_guard():
         cayley_ball(GroupSpec("Heisenberg3"), 6, point_budget=50)
 
 
-def test_budget_env_var(monkeypatch):
-    monkeypatch.setenv("ASDIMLAB_POINT_BUDGET", "10")
-    with pytest.raises(BallBudgetError):
-        cayley_ball(GroupSpec("FreeAbelian", 1), 30)
-    monkeypatch.setenv("ASDIMLAB_POINT_BUDGET", "200")
-    assert len(cayley_ball(GroupSpec("FreeAbelian", 1), 30)) == 61
-
-
 def _refuse(*args):
     raise AssertionError("ball was built past its budget")
 
@@ -147,7 +139,7 @@ def test_matrix_byte_budget_refuses_before_building(monkeypatch):
     for name in ("_free_words", "_word_matrix"):
         monkeypatch.setattr(coarse, name, _refuse)
     # 118,097 points fit the point budget, but their matrix would take 56 GB.
-    with pytest.raises(BallBudgetError, match="118097 points"):
+    with pytest.raises(BallBudgetError, match="more than 23170 points"):
         cayley_ball(GroupSpec("FreeGroup", 2), 10)
 
 
@@ -199,7 +191,7 @@ def test_huge_radii_are_refused_without_forming_their_count(monkeypatch):
         with pytest.raises(BallBudgetError, match="more than 200000 points"):
             cayley_ball(spec, radius)
         with pytest.raises(BallBudgetError, match="24 points"):
-            check_search_size(spec, radius)
+            cayley_ball(spec, radius, SEARCH_POINT_LIMIT)
 
 
 def test_search_size_is_checked_before_any_distance(monkeypatch):
@@ -212,11 +204,12 @@ def test_search_size_is_checked_before_any_distance(monkeypatch):
         (GroupSpec("Heisenberg3"), 1_000),
     ):
         with pytest.raises(BallBudgetError, match="24 points"):
-            check_search_size(spec, radius)
-    for spec, radius in ((GroupSpec("FreeAbelian", 1), 11), (GroupSpec("Heisenberg3"), 2)):
-        check_search_size(spec, radius)
+            cayley_ball(spec, radius, SEARCH_POINT_LIMIT)
     with pytest.raises(ValueError):
-        check_search_size(GroupSpec("Heisenberg3"), -1)
+        cayley_ball(GroupSpec("Heisenberg3"), -1, SEARCH_POINT_LIMIT)
+    monkeypatch.undo()
+    for spec, radius in ((GroupSpec("FreeAbelian", 1), 11), (GroupSpec("Heisenberg3"), 2)):
+        assert len(cayley_ball(spec, radius, SEARCH_POINT_LIMIT)) <= SEARCH_POINT_LIMIT
 
 
 # Independent definitions of the three metrics, entry by entry.
