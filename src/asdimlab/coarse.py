@@ -12,20 +12,29 @@ Everything here is a fixed-scale experiment: a witness certifies one
 
 from __future__ import annotations
 
-import math
 import operator
-from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import TYPE_CHECKING
+
+
+class _Numpy:
+    """numpy, imported when first used: cayley_ball refuses a ball before
+    that, also where numpy is not installed."""
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        globals()["np"] = numpy
+        return getattr(numpy, name)
+
 
 if TYPE_CHECKING:
     import numpy as np
+else:
+    np = _Numpy()
 
 DEFAULT_POINT_BUDGET = 200_000
-# Largest dense int32 distance matrix a FreeGroup or Heisenberg3 ball may
-# ask for: 2 GiB, that is at most 23,170 points.  Zn balls hold no matrix.
-MATRIX_BYTE_BUDGET = 2 * 1024**3
 # Most points min_families_exhaustive searches.
 SEARCH_POINT_LIMIT = 24
 
@@ -91,17 +100,14 @@ def parse_group_spec(text: str) -> GroupSpec:
 class FiniteMetricSpace:
     """An indexed point set with integer distances.
 
-    dist is a dense int32 matrix, or for a free abelian ball an L1Distances
-    oracle that computes entries on demand.  Readers use only what both
-    offer: dist.shape, dist[i, j] and the block dist[np.ix_(rows, cols)].
-    A matrix's memory is quadratic in the point count; cayley_ball, the
-    one place that refuses a ball, refuses a FreeGroup or Heisenberg3 ball
-    whose matrix would exceed MATRIX_BYTE_BUDGET before building it.
+    dist is a Distances oracle, which computes what it is asked for; no ball
+    holds its n x n matrix.  A plain matrix, as small test spaces pass, is
+    wrapped in DenseDistances.
     """
 
     def __init__(self, points, dist, label: str):
         self.points = tuple(points)
-        self.dist = dist
+        self.dist = dist if isinstance(dist, Distances) else DenseDistances(dist)
         self.label = label
 
     def __len__(self) -> int:
@@ -109,13 +115,10 @@ class FiniteMetricSpace:
 
     def check_metric(self) -> None:
         """Exhaustive metric axioms check; meant for small test spaces."""
-        import numpy as np
-
         n = len(self.points)
         if self.dist.shape != (n, n):
             raise ValueError("distance matrix shape mismatch")
-        every = range(n)
-        d = self.dist[np.ix_(every, every)]
+        d = self.dist.block(range(n), range(n))
         if np.any(np.diagonal(d) != 0):
             raise ValueError("nonzero diagonal")
         if np.any(d != d.T):
@@ -154,51 +157,42 @@ def cayley_ball(
 ) -> FiniteMetricSpace:
     """Ball of the given radius around the identity, in the word metric.
 
-    Free abelian and free groups get true word-length distances from closed
-    forms: a free abelian ball keeps its coordinates in one int32 array and
-    computes L1 distances on demand (L1Distances), a free group ball holds
-    a dense matrix.  Heisenberg3 uses breadth-first distances inside the ball
-    (induced-ball metric), which can exceed the group's word metric near
-    the boundary; the label carries a "metric=induced-ball" caveat so
-    downstream output stays honest.
+    No ball holds a distance matrix: a free abelian ball computes L1
+    distances from its coordinates (L1Distances), a free group ball word
+    distances from its words' breadth-first positions (WordDistances).
+    Heisenberg3 keeps the ball's Cayley graph and uses breadth-first
+    distances inside the ball (InducedDistances), which can exceed the
+    group's word metric near the boundary; the label carries a
+    "metric=induced-ball" caveat so downstream output stays honest.
 
     This is the one place that refuses a ball, before it allocates an
     array or imports numpy: a radius below 1 raises ValueError, and a ball
-    of more than point_budget points, or a FreeGroup or Heisenberg3 ball
-    whose dense int32 matrix would exceed MATRIX_BYTE_BUDGET, raises
-    BallBudgetError.  The closed-form families are counted; Heisenberg3
-    has no closed form, so its breadth-first search stops one point past
-    the smaller limit.
+    of more than point_budget points raises BallBudgetError.  The
+    closed-form families are counted; Heisenberg3 has no closed form, so
+    its breadth-first search stops one point past the budget.
     """
     if radius < 1:
         raise ValueError(f"radius must be positive, got {radius}")
-    matrix_limit = math.isqrt(MATRIX_BYTE_BUDGET // 4)
     if spec.family == "Heisenberg3":
-        limit = min(point_budget, matrix_limit)
-        points = _heisenberg_points(radius, limit)
-        n = limit + 1 if points is None else len(points)
+        ball = _heisenberg_ball(radius, point_budget)
+        n = point_budget + 1 if ball is None else len(ball[0])
     else:
         n = _ball_count(spec, radius, point_budget)
     if n > point_budget:
         raise BallBudgetError(
             f"{spec} ball of radius {radius} has more than {point_budget} points, the point budget"
         )
-    if spec.family != "FreeAbelian" and n > matrix_limit:
-        raise BallBudgetError(
-            f"{spec} ball of radius {radius} has more than {matrix_limit} points, whose"
-            f" distance matrix would exceed the limit of {MATRIX_BYTE_BUDGET} bytes"
-        )
     label = f"group={spec} radius={radius}"
     if spec.family == "FreeAbelian":
         axes = _abelian_points(spec.rank, radius)
         points = zip(*axes.tolist())
-        dist = L1Distances(axes)
+        dist = L1Distances(axes, radius)
     elif spec.family == "FreeGroup":
         points = _free_words(spec.rank, radius)
-        dist = _word_matrix(points)
+        dist = WordDistances(spec.rank, radius)
     else:
-        # points is the ball the size check above walked.
-        dist = _induced_matrix(points, _heisenberg_neighbors)
+        points, adj = ball
+        dist = InducedDistances(np.array(adj, dtype=np.intp))
         label += " metric=induced-ball"
     return FiniteMetricSpace(points, dist, label)
 
@@ -206,8 +200,6 @@ def cayley_ball(
 def _abelian_points(rank: int, r: int) -> np.ndarray:
     """The radius-r ball as a (rank, points) int32 array, one row per axis,
     its points sorted by L1 norm and then lexicographically."""
-    import numpy as np
-
     grid = np.indices((2 * r + 1,) * rank, dtype=np.int32).reshape(rank, -1)
     grid -= r
     norm = np.abs(grid).sum(axis=0, dtype=np.int32)
@@ -217,36 +209,111 @@ def _abelian_points(rank: int, r: int) -> np.ndarray:
     return grid[:, np.lexsort((*grid[::-1], norm))]
 
 
-class L1Distances:
-    """The L1 distance matrix of a point set, computed entry by entry or
-    block by block from the coordinates and never stored.
+# Most cells of one block of distances read at a time: 4 MB of int32.
+_BLOCK_CELLS = 1 << 20
 
-    Indexing follows the dense matrix it stands for: dist[i, j] is an int
-    and dist[np.ix_(rows, cols)] the int32 block.  A block is built one
-    axis at a time with in-place ufuncs; from the second axis on, its rows
-    go through one buffer of at most 128 rows, so a block of 256 rows, as
-    verify_cover asks for, peaks at 1.5 times its size plus the gathered
-    coordinates.
+
+def _pairs(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (a, b, d) arrays of a list of such triples, joined."""
+    if not parts:
+        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, np.int32)
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _scan(dist, rows, row_labels, cols, col_labels, D: int):
+    """Arrays (a, b, d), a < b, naming every row and column of distinct
+    labels at distance d <= D, read in blocks of rows against all columns."""
+    parts = []
+    step = max(1, min(256, _BLOCK_CELLS // max(1, len(cols))))
+    for lo in range(0, len(rows), step):
+        block = dist.block(rows[lo : lo + step], cols)
+        r, c = np.nonzero((block <= D) & (row_labels[lo : lo + step, None] != col_labels))
+        a, b = row_labels[lo + r], col_labels[c]
+        parts.append((np.minimum(a, b), np.maximum(a, b), block[r, c]))
+    return _pairs(parts)
+
+
+class Distances:
+    """The distances of a finite space, read on demand.
+
+    shape is (n, n); dist[i, j] is an int and block(rows, cols) a fresh
+    int32 array of rows x cols.  verify_cover reads a family through
+    diameter and close_labels, whose defaults here read blocks of rows;
+    the ball oracles replace them with closed forms and D-neighbourhoods.
     """
 
-    def __init__(self, axes: np.ndarray):
+    shape: tuple[int, int]
+
+    def __getitem__(self, key) -> int:
+        i, j = map(operator.index, key)
+        if not (0 <= i < self.shape[0] and 0 <= j < self.shape[1]):
+            raise IndexError(f"distance index {(i, j)} out of range for shape {self.shape}")
+        return self._entry(i, j)
+
+    def _entry(self, i: int, j: int) -> int:
+        return int(self.block([i], [j])[0, 0])
+
+    def block(self, rows, cols) -> np.ndarray:
+        raise NotImplementedError
+
+    def diameter(self, members: np.ndarray, runs: np.ndarray) -> int:
+        """The largest distance between two members of one run, where
+        runs[k] = 0, 1, 2, ... (nondecreasing) is the run of members[k].
+        The default reads blocks of rows against every member."""
+        best = 0
+        step = max(1, min(256, _BLOCK_CELLS // len(members)))
+        for lo in range(0, len(members), step):
+            block = self.block(members[lo : lo + step], members)
+            block[runs[lo : lo + step, None] != runs] = 0
+            best = max(best, int(block.max()))
+        return best
+
+    def close_labels(self, labels: np.ndarray, D: int):
+        """Arrays (a, b, d) holding, for every two labels a < b on points
+        within D of each other (labels[i] < 0 is no label), their least
+        distance d, and no d above D.  The default compares all pairs."""
+        members = np.flatnonzero(labels >= 0)
+        return _scan(self, members, labels[members], members, labels[members], D)
+
+
+class DenseDistances(Distances):
+    """A distance matrix held whole, for small spaces."""
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix)
+        self.shape = self.matrix.shape
+
+    def _entry(self, i: int, j: int) -> int:
+        return int(self.matrix[i, j])
+
+    def block(self, rows, cols) -> np.ndarray:
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        return self.matrix[rows[:, None], cols]
+
+
+class L1Distances(Distances):
+    """The L1 distances of a free abelian ball, computed from the
+    coordinates and never stored."""
+
+    def __init__(self, axes: np.ndarray, radius: int):
         """axes: the (rank, points) int32 coordinates, one row per axis."""
         self.axes = axes
+        self.radius = radius
         # The rows as a tuple, which unpacks faster than the array.
         self._axis_rows = tuple(axes)
         self.shape = (axes.shape[1], axes.shape[1])
 
-    def __getitem__(self, key) -> int | np.ndarray:
-        import numpy as np
+    def _entry(self, i: int, j: int) -> int:
+        return sum(abs(int(axis[i]) - int(axis[j])) for axis in self._axis_rows)
 
-        rows, cols = key
-        if not (isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray)):
-            i, j = operator.index(rows), operator.index(cols)
-            return sum(abs(int(axis[i]) - int(axis[j])) for axis in self._axis_rows)
-        if rows.ndim != 2 or cols.ndim != 2:
-            raise IndexError("index L1Distances with two integers or with np.ix_(rows, cols)")
+    def block(self, rows, cols) -> np.ndarray:
+        """Built one axis at a time with in-place ufuncs; from the second
+        axis on, its rows go through one buffer of at most 128 rows, so a
+        block of 256 rows peaks at 1.5 times its size plus the gathered
+        coordinates."""
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
         first, *rest = self._axis_rows
-        block = np.subtract(first[rows], first[cols])
+        block = np.subtract.outer(first[rows], first[cols])
         np.abs(block, out=block)
         if rest:
             buf = np.empty_like(block[:128])
@@ -254,10 +321,194 @@ class L1Distances:
                 part_rows, part = rows[start : start + 128], block[start : start + 128]
                 tmp = buf[: len(part)]
                 for axis in rest:
-                    np.subtract(axis[part_rows], axis[cols], out=tmp)
+                    np.subtract.outer(axis[part_rows], axis[cols], out=tmp)
                     np.abs(tmp, out=tmp)
                     part += tmp
         return block
+
+    def diameter(self, members: np.ndarray, runs: np.ndarray) -> int:
+        """|x - y|_1 is the largest s.(x - y) over sign vectors s, and s and
+        -s give the same spread, so a run's diameter is the widest spread
+        of its points' projections on the sign vectors with s[0] = 1."""
+        starts = np.searchsorted(runs, np.arange(runs[-1] + 1))
+        signs = [(1, *s) for s in product((1, -1), repeat=len(self.axes) - 1)]
+        proj = np.array(signs, dtype=np.int32) @ self.axes[:, members]
+        top = np.maximum.reduceat(proj, starts, axis=1)
+        return int((top - np.minimum.reduceat(proj, starts, axis=1)).max())
+
+    def close_labels(self, labels: np.ndarray, D: int):
+        """The labels go into a grid over the ball's bounding box, which is
+        compared with its own shift by every offset in one half of the L1
+        ball of radius D; the other half gives the same pairs.  That reads
+        offsets x cells, and where that is more than the members squared
+        the pairwise default runs instead."""
+        rank, r = len(self.axes), self.radius
+        reach, side = min(D, 2 * r), 2 * r + 1
+        members = int(np.count_nonzero(labels >= 0))
+        half = (_ball_count(GroupSpec("FreeAbelian", rank), reach, members**2) - 1) // 2
+        if half * side**rank > members**2:
+            return super().close_labels(labels, D)
+        grid = np.full((side,) * rank, -1, dtype=np.int32)
+        grid[tuple(self.axes + r)] = labels
+        offsets = _abelian_points(rank, reach)[:, 1:]
+        lead = offsets[np.argmax(offsets != 0, axis=0), np.arange(offsets.shape[1])]
+        parts = []
+        for o in offsets[:, lead > 0].T.tolist():
+            x = grid[tuple(slice(max(0, -c), side - max(0, c)) for c in o)]
+            y = grid[tuple(slice(max(0, c), side - max(0, -c)) for c in o)]
+            hit = (x != y) & (np.minimum(x, y) >= 0)
+            if hit.any():
+                x, y = x[hit], y[hit]
+                norm = sum(map(abs, o))
+                parts.append((np.minimum(x, y), np.maximum(x, y), np.full(len(x), norm, np.int32)))
+        return _pairs(parts)
+
+
+class InducedDistances(Distances):
+    """Breadth-first distances inside a ball of a Cayley graph.
+
+    adj is the (n, k) array of each point's neighbours, in which a
+    neighbour outside the ball stands in as the point itself; it must be
+    symmetric and connected.  dist[i, j] keeps the one row it last read.
+    """
+
+    def __init__(self, adj: np.ndarray):
+        self.adj = adj
+        self.shape = (len(adj), len(adj))
+        self._row = (None, None)
+
+    def _entry(self, i: int, j: int) -> int:
+        if self._row[0] != i:
+            self._row = (i, self.block([i], range(self.shape[0]))[0])
+        return int(self._row[1][j])
+
+    def block(self, rows, cols) -> np.ndarray:
+        """A breadth-first search from up to 256 sources at once, level by
+        level until it reaches every requested column."""
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        n = self.shape[0]
+        out = np.empty((len(rows), len(cols)), dtype=np.int32)
+        step = max(1, min(256, _BLOCK_CELLS // n))
+        for lo in range(0, len(rows), step):
+            sources = rows[lo : lo + step]
+            seen = np.zeros((n, len(sources)), dtype=bool)
+            seen[sources, np.arange(len(sources))] = True
+            frontier = seen.copy()
+            part = np.where(cols[:, None] == sources, 0, -1).astype(np.int32)
+            level = 0
+            while np.any(part < 0):
+                level += 1
+                reached = frontier[self.adj].any(axis=1)
+                reached &= ~seen
+                if not reached.any():
+                    raise AssertionError("ball graph is disconnected")
+                seen |= reached
+                part[reached[cols]] = level
+                frontier = reached
+            out[lo : lo + step] = part.T
+        return out
+
+    def _walk(self, sources, D: int):
+        """Arrays (s, c, d): every point c within D of a source s, at
+        distance d.  A level-L pair's neighbours lie on levels L - 1, L and
+        L + 1, so a level's new pairs are its candidates less two levels."""
+        n, k = self.adj.shape
+        src = cur = np.asarray(sources, dtype=np.int64)
+        older, last = np.empty(0, np.int64), np.sort(src * n + cur)
+        parts = [(src, cur, np.zeros(len(src), np.int32))]
+        level = 0
+        while level < D:
+            level += 1
+            code = np.unique(np.repeat(src, k) * n + self.adj[cur].ravel())
+            code = np.setdiff1d(code, np.concatenate((older, last)), assume_unique=True)
+            if not len(code):
+                break
+            older, last = last, code
+            src, cur = np.divmod(code, n)
+            parts.append((src, cur, np.full(len(code), level, np.int32)))
+        return _pairs(parts)
+
+    def close_labels(self, labels: np.ndarray, D: int):
+        """Walks to depth D from every labelled point, in groups whose walks
+        fill about one block; point 0, the identity, has the largest."""
+        members = np.flatnonzero(labels >= 0)
+        step = max(1, _BLOCK_CELLS // len(self._walk([0], D)[0]))
+        parts = []
+        for lo in range(0, len(members), step):
+            s, c, d = self._walk(members[lo : lo + step], D)
+            a, b = labels[s], labels[c]
+            keep = a < b
+            parts.append((a[keep], b[keep], d[keep]))
+        return _pairs(parts)
+
+
+class WordDistances(InducedDistances):
+    """Word distances |u| + |v| - 2 lcp(u, v) in a free group ball.
+
+    A tree's ball holds the geodesics between its points, so the walks of
+    InducedDistances hold; blocks and diameters use closed forms.  In
+    breadth-first order each word of depth L >= 1 has w = 2 rank - 1
+    children, listed together, so the word at position p of depth L has
+    the ancestor at position p // w**(L - d) at depth d >= 1; lcp(u, v) is
+    the deepest d at which the ancestors agree.
+    """
+
+    def __init__(self, rank: int, r: int):
+        q = 2 * rank
+        self.w = w = q - 1
+        sizes = [1] + [q * w ** (level - 1) for level in range(1, r + 1)]
+        start = np.cumsum([0] + sizes)
+        self.depth = np.repeat(np.arange(r + 1), sizes)
+        every = np.arange(len(self.depth))
+        self.pos = every - start[self.depth]
+        self._powers = w ** np.arange(r + 1, dtype=np.int64)
+        adj = np.empty((len(every), q), dtype=np.intp)
+        adj[:, 0] = np.where(self.depth > 1, start[self.depth - 1] + self.pos // w, 0)
+        child = start[np.minimum(self.depth + 1, r)] + self.pos * w
+        for c in range(w):
+            adj[:, 1 + c] = np.where(self.depth < r, child + c, every)
+        adj[0] = np.arange(1, q + 1)
+        super().__init__(adj)
+
+    def _entry(self, i: int, j: int) -> int:
+        (du, pu), (dv, pv) = ((int(self.depth[k]), int(self.pos[k])) for k in (i, j))
+        common = min(du, dv)
+        while common and pu // self.w ** (du - common) != pv // self.w ** (dv - common):
+            common -= 1
+        return du + dv - 2 * common
+
+    def _between(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Distances between the words of the index arrays u and v, which
+        broadcast; the common prefix length is found by bisection."""
+        du, dv, pu, pv = self.depth[u], self.depth[v], self.pos[u], self.pos[v]
+        hi = np.minimum(du, dv)
+        if self.w == 1:
+            # Two rays: the shorter word is a prefix unless the signs differ.
+            return du + dv - 2 * np.where(pu == pv, hi, 0)
+        lo = np.zeros(hi.shape, dtype=np.intp)
+        while np.any(lo < hi):
+            mid = (lo + hi + 1) // 2
+            agree = pu // self._powers[du - mid] == pv // self._powers[dv - mid]
+            lo = np.where(agree, mid, lo)
+            hi = np.where(agree, hi, mid - 1)
+        return du + dv - 2 * lo
+
+    def block(self, rows, cols) -> np.ndarray:
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        out = np.empty((len(rows), len(cols)), dtype=np.int32)
+        step = max(1, min(256, _BLOCK_CELLS // max(1, len(cols))))
+        for lo in range(0, len(rows), step):
+            out[lo : lo + step] = self._between(rows[lo : lo + step, None], cols)
+        return out
+
+    def diameter(self, members: np.ndarray, runs: np.ndarray) -> int:
+        """Two sweeps per run, exact in a tree: the member farthest from
+        any member is an end of a longest pair."""
+        starts = np.searchsorted(runs, np.arange(runs[-1] + 1))
+        far = self._between(members[starts][runs], members)
+        ends = np.flatnonzero(far == np.maximum.reduceat(far, starts)[runs])
+        ends = ends[np.unique(runs[ends], return_index=True)[1]]
+        return int(self._between(members[ends][runs], members).max())
 
 
 def _free_words(rank: int, r: int) -> list[tuple[int, ...]]:
@@ -276,46 +527,6 @@ def _free_words(rank: int, r: int) -> list[tuple[int, ...]]:
     return words
 
 
-def _word_matrix(words) -> np.ndarray:
-    """Free-group distances len(u) + len(v) - 2 * (common prefix length).
-
-    words must come in breadth-first order, as _free_words lists them, and
-    hold every prefix of every word.  Two words share their prefix of
-    length d exactly when they share the ancestor at depth d, so the common
-    prefix length counts the depths at which the ancestors agree.  The
-    depths are walked from the longest word down, each over the words at
-    least that long, in blocks of 256 rows.
-    """
-    import numpy as np
-
-    n = len(words)
-    index = {w: i for i, w in enumerate(words)}
-    lengths = np.array([len(w) for w in words], dtype=np.int32)
-    parent = np.array([index[w[:-1]] if w else 0 for w in words], dtype=np.intp)
-    # dist first holds minus the common prefix length; ancestor[i] is the
-    # index of words[i]'s prefix at the current depth, for every word at
-    # least that long.
-    dist = np.zeros((n, n), dtype=np.int32)
-    ancestor = np.arange(n, dtype=np.intp)
-    same = np.empty((min(n, 256), n), dtype=bool)
-    for depth in range(int(lengths.max(initial=0)), 0, -1):
-        first = int(np.searchsorted(lengths, depth))
-        deep = ancestor[first:]
-        for start in range(first, n, 256):
-            rows = deep[start - first : start - first + 256]
-            hit = same[: len(rows), : len(deep)]
-            np.equal(rows[:, None], deep, out=hit)
-            block = dist[start : start + 256, first:]
-            np.subtract(block, hit, out=block)
-        ancestor[first:] = parent[deep]
-    for start in range(0, n, 256):
-        rows = dist[start : start + 256]
-        rows *= 2
-        rows += lengths[start : start + 256, None]
-        rows += lengths
-    return dist
-
-
 def _heisenberg_neighbors(p: tuple[int, int, int]):
     a, b, c = p
     # Right multiplication by the generators X, Y and their inverses in the
@@ -328,60 +539,45 @@ def _heisenberg_neighbors(p: tuple[int, int, int]):
     )
 
 
-def _heisenberg_points(r: int, limit: int) -> list[tuple[int, int, int]] | None:
-    """The radius-r ball, sorted by word length and then coordinates, or
-    None once the breadth-first search finds more than limit points."""
-    lengths = {(0, 0, 0): 0}
-    frontier = deque([(0, 0, 0)])
-    while frontier:
-        p = frontier.popleft()
-        if lengths[p] == r:
-            continue
-        for q in _heisenberg_neighbors(p):
-            if q not in lengths:
-                lengths[q] = lengths[p] + 1
-                if len(lengths) > limit:
-                    return None
-                frontier.append(q)
-    return sorted(lengths, key=lambda p: (lengths[p], p))
+def _heisenberg_ball(r: int, limit: int):
+    """The radius-r ball, sorted by word length and then coordinates, with
+    its adjacency (see InducedDistances) as lists of four indices; or None
+    once the breadth-first search finds more than limit points.
 
-
-def _induced_matrix(points, neighbors) -> np.ndarray:
-    """Breadth-first distances inside the point set, which must be connected.
-
-    The search runs level by level from 256 sources at once, one column
-    per source.  Each level gathers the frontier through an (n, k) array
-    of neighbour indices, in which a neighbour outside the set stands in as
-    the point itself; the adjacency is symmetric, so a point joins the next
-    level when one of its neighbours is on the current one.
+    The search lists the neighbours of each point inside the radius.
+    Every relator has even length, so no two points of the radius-r sphere
+    are adjacent: a sphere point's neighbours are the inner points listing
+    it.
     """
-    import numpy as np
-
-    index = {p: i for i, p in enumerate(points)}
-    adj = np.array(
-        [[index.get(q, i) for q in neighbors(p)] for i, p in enumerate(points)],
-        dtype=np.intp,
-    )
-    n = len(points)
-    dist = np.empty((n, n), dtype=np.int32)
-    for start in range(0, n, 256):
-        sources = np.arange(min(256, n - start))
-        cols = np.full((n, len(sources)), -1, dtype=np.int32)
-        cols[start + sources, sources] = 0
-        frontier = cols == 0
-        level = 0
-        while frontier.any():
-            level += 1
-            reached = frontier[adj[:, 0]]
-            for k in range(1, adj.shape[1]):
-                reached |= frontier[adj[:, k]]
-            reached &= cols < 0
-            cols[reached] = level
-            frontier = reached
-        if np.any(cols < 0):
-            raise AssertionError("induced ball is disconnected")
-        dist[start : start + len(sources)] = cols.T
-    return dist
+    found = [(0, 0, 0)]
+    ids = {(0, 0, 0): 0}
+    depth = [0]
+    around: list[list[int]] = []
+    # found grows as it is walked, in breadth-first order.
+    for k, p in enumerate(found):
+        if depth[k] == r:
+            break
+        around.append([])
+        for q in _heisenberg_neighbors(p):
+            if q not in ids:
+                ids[q] = len(found)
+                found.append(q)
+                depth.append(depth[k] + 1)
+                if len(found) > limit:
+                    return None
+            around[k].append(ids[q])
+    order = sorted(range(len(found)), key=lambda k: (depth[k], found[k]))
+    rank = [0] * len(found)
+    for i, k in enumerate(order):
+        rank[k] = i
+    adj = [[i] * 4 for i in range(len(found))]
+    for k, near in enumerate(around):
+        adj[rank[k]] = [rank[j] for j in near]
+        for j in near:
+            if j >= len(around):
+                row = adj[rank[j]]
+                row[row.index(rank[j])] = rank[k]
+    return [found[k] for k in order], adj
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +628,7 @@ def brick_cover(n: int, D: int, radius: int) -> CoverWitness:
     if D < 1:
         raise ValueError(f"separation D must be positive, got {D}")
     space = cayley_ball(GroupSpec("FreeAbelian", n), radius)
-    import numpy as np
-
     axes = space.dist.axes
-    # |x - y|_1 is the largest s.(x - y) over sign vectors s, and s and -s
-    # give the same spread, so a brick's diameter is the widest spread of
-    # its points' projections on the sign vectors with s[0] = 1.
-    signs = np.array([(1, *s) for s in product((1, -1), repeat=n - 1)], dtype=np.int32)
     # Every D >= radius gives the same bricks (family 0 empty, each other
     # family the whole ball), so a capped T keeps the arithmetic in int32.
     T = min(D, radius) + 1
@@ -461,9 +651,7 @@ def brick_cover(n: int, D: int, radius: int) -> CoverWitness:
         bounds = starts.tolist() + [len(members)]
         families.append([members[a:b] for a, b in zip(bounds, bounds[1:])])
         if len(kept):
-            proj = signs @ axes[:, kept]
-            top = np.maximum.reduceat(proj, starts, axis=1)
-            B = max(B, int((top - np.minimum.reduceat(proj, starts, axis=1)).max()))
+            B = max(B, space.dist.diameter(kept, np.cumsum(new_brick) - 1))
     assert B <= 2 * n * (n + 1) * (D + 1), "brick diameter exceeded its proven bound"
     return CoverWitness(space, families, D, B)
 
@@ -472,10 +660,10 @@ def verify_cover(witness: CoverWitness) -> CoverReport:
     """Check the three cover conditions and recompute B.
 
     Violations name the family/subset pair and the offending distance; the
-    verdict is data, not an exception.
+    verdict is data, not an exception.  A family's diameters and close
+    subsets come from the space's oracle, which for a ball compares only
+    members within D of each other.
     """
-    import numpy as np
-
     space = witness.space
     n = len(space)
     violations: list[str] = []
@@ -494,20 +682,27 @@ def verify_cover(witness: CoverWitness) -> CoverReport:
     for i in range(n):
         if i not in covered:
             violations.append(f"point {i} at {space.points[i]} is uncovered")
+    dist = space.dist
+    if n <= 256 and not isinstance(dist, DenseDistances):
+        # One block of rows holds every distance of a space this small.
+        dist = DenseDistances(dist.block(range(n), range(n)))
     recomputed = 0
     for f, family in enumerate(witness.families):
         clean = [
             (s, [i for i in subset if 0 <= i < n]) for s, subset in enumerate(family)
         ]
         clean = [(s, subset) for s, subset in clean if subset]
-        for _, subset in clean:
-            recomputed = max(recomputed, _block_reduce(np.maximum, space.dist, subset, subset))
-        for a, b in _close_pairs(space.dist, [subset for _, subset in clean], witness.D):
-            s, left = clean[a]
-            t, right = clean[b]
-            gap = _block_reduce(np.minimum, space.dist, left, right)
+        if not clean:
+            continue
+        sizes = [len(subset) for _, subset in clean]
+        members = np.fromiter(
+            chain.from_iterable(subset for _, subset in clean), dtype=np.intp, count=sum(sizes)
+        )
+        runs = np.repeat(np.arange(len(sizes)), sizes)
+        recomputed = max(recomputed, dist.diameter(members, runs))
+        for (a, b), gap in _close_pairs(dist, members, runs, witness.D):
             violations.append(
-                f"family {f}: subsets {s} and {t} are at distance {gap},"
+                f"family {f}: subsets {clean[a][0]} and {clean[b][0]} are at distance {gap},"
                 f" need more than D={witness.D}"
             )
     if recomputed != witness.B:
@@ -515,45 +710,32 @@ def verify_cover(witness: CoverWitness) -> CoverReport:
     return CoverReport(valid=not violations, violations=violations)
 
 
-def _block_reduce(ufunc: np.ufunc, dist: np.ndarray, rows: list[int], cols: list[int]) -> int:
-    """The maximum (ufunc np.maximum) or minimum (np.minimum) of dist over
-    rows x cols, both nonempty, kept as a running value over blocks of 256
-    rows, so no temporary is larger than 256 x len(cols)."""
-    import numpy as np
+def _close_pairs(dist: Distances, members: np.ndarray, runs: np.ndarray, D: int):
+    """Sorted ((a, b), gap) for the runs a < b (see Distances.diameter)
+    that come within D of each other, gap their distance.
 
-    result = ufunc.reduce(dist[np.ix_(rows[:256], cols)], axis=None)
-    for start in range(256, len(rows), 256):
-        block = dist[np.ix_(rows[start : start + 256], cols)]
-        result = ufunc(result, ufunc.reduce(block, axis=None))
-    return int(result)
-
-
-def _close_pairs(dist: np.ndarray, subsets: list[list[int]], D: int) -> list[tuple[int, int]]:
-    """Sorted position pairs (a, b), a < b, of subsets that come within D.
-
-    Every member is labelled with its subset's position, and blocks of 256
-    member rows are compared with the members of later subsets only, so no
-    temporary is larger than 256 rows of the family.
+    Each point is labelled with one of its runs for dist.close_labels; a
+    member whose run lost the label is compared with every member, so a
+    point shared by two runs puts them at distance 0.
     """
-    import numpy as np
-
-    if len(subsets) < 2:
+    count = int(runs[-1]) + 1
+    if count < 2:
         return []
-    members = np.concatenate([np.asarray(subset, dtype=np.intp) for subset in subsets])
-    labels = np.repeat(np.arange(len(subsets)), [len(subset) for subset in subsets])
-    codes = []
-    for start in range(0, len(members), 256):
-        rows = members[start : start + 256]
-        row_labels = labels[start : start + 256]
-        later = int(np.searchsorted(labels, row_labels[0], side="right"))
-        close = dist[np.ix_(rows, members[later:])] <= D
-        close &= row_labels[:, None] < labels[later:]
-        if close.any():
-            r, c = np.nonzero(close)
-            codes.append(row_labels[r] * len(subsets) + labels[later + c])
-    if not codes:
+    labels = np.full(dist.shape[0], -1, dtype=np.intp)
+    labels[members] = runs
+    a, b, d = dist.close_labels(labels, D)
+    again = labels[members] != runs
+    if again.any():
+        more = _scan(dist, members[again], runs[again], members, runs, D)
+        a, b, d = (np.concatenate(pair) for pair in zip((a, b, d), more))
+    if not len(a):
         return []
-    return [divmod(int(code), len(subsets)) for code in np.unique(np.concatenate(codes))]
+    code = a.astype(np.int64) * count + b
+    order = np.lexsort((d, code))
+    code, d = code[order], d[order]
+    least = np.ones(len(code), dtype=bool)
+    least[1:] = code[1:] != code[:-1]
+    return [(divmod(c, count), g) for c, g in zip(code[least].tolist(), d[least].tolist())]
 
 
 @dataclass
@@ -617,11 +799,8 @@ def min_families_exhaustive(
         raise ValueError(f"k_max must be 1..4, got {k_max}")
     if D < 1 or B < 1:
         raise ValueError("D and B must be positive")
-    import numpy as np
-
-    every = np.arange(n)
-    # The whole matrix, keyed as np.ix_(every, every) would key it.
-    dist = space.dist[every[:, None], every[None, :]].tolist()
+    table = space.dist.block(range(n), range(n))
+    dist = table.tolist()
     near = [0] * n
     far = [0] * n
     for i, row in enumerate(dist):
@@ -678,6 +857,8 @@ def min_families_exhaustive(
             (dist[a][b] for fam in families for subset in fam for a in subset for b in subset),
             default=0,
         )
+        # The witness keeps the table read above, so verifying it reads none.
+        space = FiniteMetricSpace(space.points, table, space.label)
         return SearchResult(k, CoverWitness(space, families, D, actual_b), nodes)
     return SearchResult(None, None, nodes)
 

@@ -110,6 +110,11 @@ class DecompGraph:
     edges: tuple[GraphEdge, ...]
     pi1_injective: bool
     pos: tuple[int, int] = field(default=(1, 1), compare=False)
+    # _spanning_tree(self), walked once when the graph is made.
+    tree: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tree", _spanning_tree(self))
 
 
 Summand = GeometricPiece | DecompGraph
@@ -321,7 +326,7 @@ def parse_manifold(text: str) -> ManifoldDesc:
             graph = DecompGraph(
                 name, tuple(vertices), tuple(edges), injective, pos=(name_tok.line, name_tok.col)
             )
-            if len(_spanning_tree(graph)[0]) != len(vertices) - 1:
+            if len(graph.tree[0]) != len(vertices) - 1:
                 p.fail(name_tok, f"graph {name!r} is not connected")
             summands.append(graph)
         elif p.at_keyword("sum"):
@@ -478,7 +483,7 @@ def _graph_expr(graph: DecompGraph, dim: int) -> GroupExpr:
     vertex_exprs = [Lattice(v.geometry, dim, False) for v in graph.vertices]
     if not graph.pi1_injective:
         return Union(tuple(vertex_exprs))
-    tree, rest = _spanning_tree(graph)
+    tree, rest = graph.tree
     expr = vertex_exprs[0]
     for _, w, k in tree:
         expr = Amalgam(expr, vertex_exprs[w], _EDGE_EXPRS[graph.edges[k].edge_type])

@@ -239,9 +239,10 @@ def test_heisenberg_search_walks_its_ball_once(capsys, monkeypatch):
         capsys, "cover", "search", "--group", "Heisenberg3", "--radius", "2", "-D", "1", "-B", "2",
     )
     assert code in (0, 1) and out.startswith("k=")
-    # One breadth-first search expands each interior point, and the
-    # distance matrix reads the neighbours of every point once.
-    assert Counter(calls) == Counter(interior + ball)
+    # One breadth-first search expands each interior point once and records
+    # the adjacency the distances are read from.
+    assert Counter(calls) == Counter(interior)
+    assert len(ball) == 17
 
 
 # Runs commands in a fresh interpreter in which numpy cannot be imported,
@@ -292,15 +293,16 @@ def test_cover_verify_refuses_a_huge_label_radius(tmp_path, capsys):
     assert err == f"{target}:2: error: radius must be positive, got 0\n"
 
 
-def test_cover_verify_refuses_a_label_whose_matrix_is_too_large(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(asdimlab.coarse, "_free_words", _refuse)
-    monkeypatch.setattr(asdimlab.coarse, "_word_matrix", _refuse)
+def test_cover_verify_checks_a_label_past_the_old_matrix_limit(tmp_path, capsys):
+    # 118,097 points once asked for a 56 GB matrix and were refused; now the
+    # witness is read and its one subset leaves every other point uncovered.
     target = tmp_path / "w.txt"
     target.write_text("coarse-witness v1\ngroup=FreeGroup(2) radius=10\nD 1\nB 0\n0:0 0\n")
     code, out, err = run(capsys, "cover", "verify", str(target))
-    assert code == 2 and out == ""
-    assert "distance matrix" in err
-    assert err.startswith(f"{target}:2: error: ")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "violation: point 1 at (1,) is uncovered"
+    assert lines[-1] == "FAIL: 118096 violation(s)"
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ paths, brute-force colorings) rather than against the module itself.
 
 import itertools
 import random
+import time
 import tracemalloc
 from collections import deque
 
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 
 from asdimlab import coarse
 from asdimlab.coarse import (
-    MATRIX_BYTE_BUDGET,
     SEARCH_POINT_LIMIT,
     BallBudgetError,
     CoverWitness,
@@ -104,14 +104,15 @@ def test_free_group_words_are_reduced_and_ordered():
 def test_heisenberg_metric_against_min_plus():
     ball = cayley_ball(GroupSpec("Heisenberg3"), 3)
     n = len(ball)
+    dist = ball.dist.block(range(n), range(n))
     big = 10**6
-    d = np.where(ball.dist == 1, 1, big)
+    d = np.where(dist == 1, 1, big)
     np.fill_diagonal(d, 0)
     # Floyd-Warshall by repeated min-plus squaring over the ball graph
     reach = d
     for _ in range(int(np.ceil(np.log2(n))) + 1):
         reach = np.minimum(reach, np.min(reach[:, None, :] + reach.T[None, :, :], axis=2))
-    assert np.array_equal(reach, ball.dist)
+    assert np.array_equal(reach, dist)
 
 
 def test_heisenberg_noncommutativity_shows_up():
@@ -132,15 +133,15 @@ def _refuse(*args):
     raise AssertionError("ball was built past its budget")
 
 
-def test_matrix_byte_budget_refuses_before_building(monkeypatch):
-    # 2 GiB holds the matrix of 23,170 points, not of 23,171.
-    assert MATRIX_BYTE_BUDGET == 2 * 1024**3
-    assert 4 * 23_170**2 <= MATRIX_BYTE_BUDGET < 4 * 23_171**2
-    for name in ("_free_words", "_word_matrix"):
-        monkeypatch.setattr(coarse, name, _refuse)
-    # 118,097 points fit the point budget, but their matrix would take 56 GB.
-    with pytest.raises(BallBudgetError, match="more than 23170 points"):
-        cayley_ball(GroupSpec("FreeGroup", 2), 10)
+def test_free_group_ball_past_the_old_matrix_limit_builds_without_one():
+    # 118,097 points once needed a 56 GB matrix, and a 2 GiB limit refused
+    # the ball; the word oracle needs none.
+    ball, peak = _traced_peak(lambda: cayley_ball(GroupSpec("FreeGroup", 2), 10))
+    n = len(ball)
+    assert n == 118_097 and ball.dist.shape == (n, n)
+    assert peak < 64 * 2**20, peak
+    assert ball.dist[0, n - 1] == 10 and ball.dist[n - 1, n - 2] == 2
+    assert ball.dist[ball.points.index((1,) * 10), ball.points.index((-1,) * 10)] == 20
 
 
 def test_free_abelian_ball_past_the_matrix_limit_builds_without_one():
@@ -153,14 +154,24 @@ def test_free_abelian_ball_past_the_matrix_limit_builds_without_one():
     assert ball.dist[ball.points.index((-315, 0)), len(ball) - 1] == 630
 
 
-def test_matrix_byte_budget_counts_heisenberg_points(monkeypatch):
-    monkeypatch.setattr(coarse, "MATRIX_BYTE_BUDGET", 4 * 30 * 30)
-    monkeypatch.setattr(coarse, "_induced_matrix", _refuse)
-    with pytest.raises(BallBudgetError, match="distance matrix"):
-        cayley_ball(GroupSpec("Heisenberg3"), 3)
+def test_free_group_radius_seven_ball_holds_no_matrix():
+    # Its int32 matrix would take 76 MB.
+    ball, peak = _traced_peak(lambda: cayley_ball(GroupSpec("FreeGroup", 2), 7))
+    assert len(ball) == 4_373
+    assert peak < 2 * 2**20, peak
+    arrays = [v for v in vars(ball.dist).values() if isinstance(v, np.ndarray)]
+    assert arrays and all(v.size < len(ball) ** 2 // 100 for v in arrays)
 
 
-def test_heisenberg_ball_past_the_matrix_limit_stops_at_once(monkeypatch):
+def test_heisenberg_balls_hold_their_graph_not_a_matrix():
+    ball, peak = _traced_peak(lambda: cayley_ball(GroupSpec("Heisenberg3"), 3))
+    assert ball.dist.adj.shape == (len(ball), 4)
+    assert peak < 64 * 2**10, peak
+    ball, peak = _traced_peak(lambda: cayley_ball(GroupSpec("Heisenberg3"), 9))
+    assert peak < 4 * len(ball) ** 2 // 8, (len(ball), peak)
+
+
+def test_heisenberg_ball_past_the_point_budget_stops_at_once(monkeypatch):
     calls = []
     real = coarse._heisenberg_neighbors
 
@@ -169,16 +180,25 @@ def test_heisenberg_ball_past_the_matrix_limit_stops_at_once(monkeypatch):
         return real(p)
 
     monkeypatch.setattr(coarse, "_heisenberg_neighbors", counted)
-    monkeypatch.setattr(coarse, "_induced_matrix", _refuse)
-    # The default point budget of 200,000 is larger than the 23,170 points
-    # a distance matrix may hold, so the matrix limit is the one named.
-    with pytest.raises(BallBudgetError, match="distance matrix"):
+    monkeypatch.setattr(coarse, "InducedDistances", _refuse)
+    # Radius 40 holds over a million points; the search stops one point
+    # past the 200,000 of the point budget, each point expanded once.
+    with pytest.raises(BallBudgetError, match="more than 200000 points"):
         cayley_ball(GroupSpec("Heisenberg3"), 40)
-    assert 0 < len(calls) <= 23_171
+    assert 0 < len(calls) <= 200_001 and len(set(calls)) == len(calls)
+    # The walk holds a few hundred bytes per point, shown on a smaller budget.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BallBudgetError, match="more than 23170 points"):
+            cayley_ball(GroupSpec("Heisenberg3"), 40, point_budget=23_170)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 23_170, peak
 
 
 def test_huge_radii_are_refused_without_forming_their_count(monkeypatch):
-    for name in ("_abelian_points", "L1Distances", "_free_words", "_word_matrix"):
+    for name in ("_abelian_points", "L1Distances", "_free_words", "WordDistances"):
         monkeypatch.setattr(coarse, name, _refuse)
     # 3**50_000 and 2 * (10**4000)**2 have far more digits than str() prints.
     for spec, radius in (
@@ -195,7 +215,7 @@ def test_huge_radii_are_refused_without_forming_their_count(monkeypatch):
 
 
 def test_search_size_is_checked_before_any_distance(monkeypatch):
-    for name in ("L1Distances", "_word_matrix", "_induced_matrix"):
+    for name in ("L1Distances", "WordDistances", "InducedDistances"):
         monkeypatch.setattr(coarse, name, _refuse)
     for spec, radius in (
         (GroupSpec("FreeAbelian", 2), 3),  # 25 points, one too many
@@ -250,6 +270,15 @@ def _induced_reference(points, neighbors):
     return rows
 
 
+def _reference(space):
+    """The distance table of a ball, from the definitions above."""
+    if space.label.startswith("group=FreeAbelian"):
+        return _l1_reference(space.points)
+    if space.label.startswith("group=FreeGroup"):
+        return _word_reference(space.points)
+    return _induced_reference(space.points, coarse._heisenberg_neighbors)
+
+
 @pytest.mark.parametrize(
     "spec,radius",
     [
@@ -262,27 +291,63 @@ def _induced_reference(points, neighbors):
     ],
 )
 def test_matrix_builders_match_their_definitions(spec, radius):
-    points = cayley_ball(spec, radius).points
-    if spec.family == "FreeAbelian":
-        oracle, want = coarse.L1Distances(np.array(points, dtype=np.int32).T), _l1_reference(points)
-        n = len(points)
-        assert oracle.shape == (n, n)
-        got = oracle[np.ix_(range(n), range(n))]
-        rng = random.Random(radius)
-        pairs = [(0, 0), (0, n - 1), (n - 1, 0)]
-        pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(50)]
-        for i, j in pairs:
-            entry = oracle[i, j]
-            assert type(entry) is int and entry == want[i][j], (i, j)
-    elif spec.family == "FreeGroup":
-        got, want = coarse._word_matrix(points), _word_reference(points)
-    else:
-        neighbors = coarse._heisenberg_neighbors
-        got, want = coarse._induced_matrix(points, neighbors), _induced_reference(points, neighbors)
-    assert isinstance(got, np.ndarray)
-    assert got.dtype == np.int32
-    assert got.shape == (len(points), len(points))
+    # No builder makes the matrix any more: its oracle reads it entry by
+    # entry and block by block.
+    ball = cayley_ball(spec, radius)
+    oracle, want, n = ball.dist, _reference(ball), len(ball)
+    assert oracle.shape == (n, n)
+    got = oracle.block(range(n), range(n))
+    assert isinstance(got, np.ndarray) and got.dtype == np.int32
     assert got.tolist() == want
+    rng = random.Random(radius)
+    pairs = [(0, 0), (0, n - 1), (n - 1, 0)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(50)]
+    for i, j in pairs:
+        entry = oracle[i, j]
+        assert type(entry) is int and entry == want[i][j], (i, j)
+    rows = [rng.randrange(n) for _ in range(37)]
+    cols = [rng.randrange(n) for _ in range(41)]
+    assert oracle.block(rows, cols).tolist() == [[want[i][j] for j in cols] for i in rows]
+
+
+@pytest.mark.parametrize(
+    "spec,radius",
+    [
+        (GroupSpec("FreeAbelian", 1), 30),
+        (GroupSpec("FreeAbelian", 2), 6),
+        (GroupSpec("FreeAbelian", 3), 3),
+        (GroupSpec("FreeGroup", 1), 30),
+        (GroupSpec("FreeGroup", 2), 4),
+        (GroupSpec("Heisenberg3"), 4),
+    ],
+)
+def test_oracle_diameters_and_close_labels_match_their_definitions(spec, radius):
+    ball = cayley_ball(spec, radius)
+    want, n = _reference(ball), len(ball)
+    rng = random.Random(radius)
+    # D past the ball's diameter too, where the Z^n grid gives way to pairs.
+    for D in (1, 2, 3, 4 * radius + 1):
+        labels = np.array([rng.choice((-1, -1, 0, 1, 2, 3, 4)) for _ in range(n)])
+        a, b, d = ball.dist.close_labels(labels, D)
+        got = {}
+        for x, y, g in zip(a.tolist(), b.tolist(), d.tolist()):
+            assert x < y and g <= D, (x, y, g)
+            got[x, y] = min(got.get((x, y), g), g)
+        expect = {}
+        for i in range(n):
+            for j in range(n):
+                x, y = labels[i], labels[j]
+                if 0 <= x < y and want[i][j] <= D:
+                    expect[x, y] = min(expect.get((x, y), want[i][j]), want[i][j])
+        assert got == expect, D
+    for _ in range(20):
+        members = rng.sample(range(n), rng.randint(1, n))
+        cuts = sorted(rng.sample(range(1, len(members)), min(len(members) - 1, rng.randint(0, 6))))
+        runs = [members[a:b] for a, b in zip([0] + cuts, cuts + [len(members)])]
+        expect = max(want[i][j] for run in runs for i in run for j in run)
+        ids = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
+        got = ball.dist.diameter(np.array(members), ids)
+        assert got == expect, runs
 
 
 def test_l1_blocks_follow_the_index_order():
@@ -290,23 +355,23 @@ def test_l1_blocks_follow_the_index_order():
     want = _l1_reference(ball.points)
     rng = random.Random(7)
     for rows, cols in (([5], [5]), ([], [1, 2]), ([3, 1, 3], [0]), (list(range(9)), [9, 2, 9, 40])):
-        block = ball.dist[np.ix_(rows, cols)]
+        block = ball.dist.block(rows, cols)
         assert block.dtype == np.int32
         assert block.tolist() == [[want[i][j] for j in cols] for i in rows]
     rows = [rng.randrange(len(ball)) for _ in range(37)]
     cols = [rng.randrange(len(ball)) for _ in range(41)]
-    assert ball.dist[np.ix_(rows, cols)].tolist() == [[want[i][j] for j in cols] for i in rows]
-    # Keys a dense matrix would read pairwise are refused, not read as blocks.
+    assert ball.dist.block(rows, cols).tolist() == [[want[i][j] for j in cols] for i in rows]
+    # Keys other than two integers are refused, not read as blocks.
+    for key in ((np.array([0, 1]), np.array([2, 3])), ([0, 1], [2, 3]), np.ix_([0], [1])):
+        with pytest.raises(TypeError):
+            ball.dist[key]
     with pytest.raises(IndexError):
-        ball.dist[np.array([0, 1]), np.array([2, 3])]
-    with pytest.raises(TypeError):
-        ball.dist[[0, 1], [2, 3]]
+        ball.dist[0, len(ball)]
 
 
 def test_an_l1_block_needs_at_most_one_buffer_of_its_size():
     ball = cayley_ball(GroupSpec("FreeAbelian", 2), 60)
-    key = np.ix_(range(256), range(len(ball)))
-    block, peak = _traced_peak(lambda: ball.dist[key])
+    block, peak = _traced_peak(lambda: ball.dist.block(range(256), range(len(ball))))
     assert block.shape == (256, 7321)
     assert peak <= 2 * block.nbytes, (peak, block.nbytes)
 
@@ -321,12 +386,11 @@ def _traced_peak(build):
 
 
 def test_builders_and_verify_allocate_no_square_temporary():
-    # A matrix-backed ball may take its matrix and a quarter more; a free
-    # abelian ball, brick or verification has no matrix and gets 8 MB.
+    # No ball holds a matrix: each takes less than a quarter of what its
+    # int32 matrix would.  A brick or a verification gets 8 MB.
     for spec, radius in ((GroupSpec("FreeGroup", 2), 6), (GroupSpec("Heisenberg3"), 7)):
         ball, peak = _traced_peak(lambda: cayley_ball(spec, radius))
-        matrix = ball.dist.nbytes
-        assert peak <= matrix + max(16 * 2**20, matrix // 4), (str(spec), peak, matrix)
+        assert peak <= len(ball) ** 2, (str(spec), peak, len(ball))
     cap = 8 * 2**20
     ball, peak = _traced_peak(lambda: cayley_ball(GroupSpec("FreeAbelian", 2), 36))
     assert len(ball) == 2665 and peak <= cap, peak
@@ -548,7 +612,7 @@ def test_search_agrees_with_naive_enumeration_on_random_subspaces(data):
     D = data.draw(st.integers(1, 5))
     B = data.draw(st.integers(1, 4))
     space = FiniteMetricSpace(
-        [ball.points[i] for i in keep], ball.dist[np.ix_(keep, keep)], ball.label
+        [ball.points[i] for i in keep], ball.dist.block(keep, keep), ball.label
     )
     got = min_families_exhaustive(space, D, B, k_max)
     assert got.k == _naive_min_families(space, D, B, k_max)
@@ -724,9 +788,11 @@ def test_witness_family_indices_must_increase_and_stay_in_range():
         assert info.value.line == lineno, body
 
 
-def _literal_violations(witness):
-    """verify_cover's three conditions and its B check, read pair by pair."""
+def _literal_violations(witness, table=None):
+    """verify_cover's three conditions and its B check, read pair by pair
+    from the space's oracle or from a distance table."""
     space, D = witness.space, witness.D
+    dist = space.dist if table is None else DictTable(table)
     n = len(space)
     out = []
     covered = set()
@@ -746,14 +812,24 @@ def _literal_violations(witness):
         inside = [(s, [i for i in subset if 0 <= i < n]) for s, subset in enumerate(family)]
         inside = [(s, subset) for s, subset in inside if subset]
         for _, subset in inside:
-            diameter = max(diameter, max(int(space.dist[a, b]) for a in subset for b in subset))
+            diameter = max(diameter, max(int(dist[a, b]) for a in subset for b in subset))
         for (s, left), (t, right) in itertools.combinations(inside, 2):
-            gap = min(int(space.dist[a, b]) for a in left for b in right)
+            gap = min(int(dist[a, b]) for a in left for b in right)
             if gap <= D:
                 out.append(f"family {f}: subsets {s} and {t} are at distance {gap}, need more than D={D}")
     if diameter != witness.B:
         out.append(f"recorded B={witness.B} but recomputed B={diameter}")
     return out
+
+
+class DictTable:
+    """A list-of-rows distance table read as dist[a, b]."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __getitem__(self, key):
+        return self.rows[key[0]][key[1]]
 
 
 def _random_witness(rng, space):
@@ -821,3 +897,94 @@ def test_verify_cover_matches_the_literal_pairwise_reading():
         kinds.update(kind for kind in KINDS if any(kind in v for v in want))
         kinds.add("valid" if not want else "invalid")
     assert {"valid", "invalid", *KINDS} <= kinds
+
+
+# Balls of more than 256 points, so that verify_cover reads them through
+# their oracles' neighbourhood walks rather than as one block, each with its
+# distance table from the definitions and its pairs within distance 3.
+_VERIFY_BALLS = {}
+
+
+def _verify_ball(spec, radius):
+    key = (spec, radius)
+    if key not in _VERIFY_BALLS:
+        space = cayley_ball(spec, radius)
+        table = _reference(space)
+        n = len(space)
+        close = [(i, j) for i in range(n) for j in range(i + 1, n) if table[i][j] <= 3]
+        _VERIFY_BALLS[key] = space, table, close
+    return _VERIFY_BALLS[key]
+
+
+@pytest.mark.parametrize(
+    "spec,radius",
+    [
+        (GroupSpec("FreeAbelian", 1), 130),
+        (GroupSpec("FreeAbelian", 2), 12),
+        (GroupSpec("FreeAbelian", 3), 6),
+        (GroupSpec("FreeGroup", 1), 130),
+        (GroupSpec("FreeGroup", 2), 5),
+        (GroupSpec("Heisenberg3"), 5),
+    ],
+)
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(data=st.data())
+def test_verify_cover_by_neighbourhoods_matches_the_pairwise_reading(spec, radius, data):
+    space, table, close = _verify_ball(spec, radius)
+    n = len(space)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    # The components of a random colouring under "distance <= D" form a
+    # valid cover, then spoiled by the drawn tamperings.
+    D = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 4))
+    colors = [rng.randrange(k) for _ in range(n)]
+    parent = list(range(n))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in close:
+        if colors[i] == colors[j] and table[i][j] <= D:
+            parent[root(i)] = root(j)
+    families = [{} for _ in range(k)]
+    for i in range(n):
+        families[colors[i]].setdefault(root(i), []).append(i)
+    families = [list(family.values()) for family in families]
+    for family in families:
+        rng.shuffle(family)
+    B = max(table[a][b] for family in families for sub in family for a in sub for b in sub)
+    for spoil in data.draw(st.lists(st.sampled_from(("drop", "outside", "empty", "share", "D", "B")), max_size=3)):
+        family = rng.choice(families)
+        if spoil == "drop" and family and len(family[0]) > 1:
+            family[0].pop(rng.randrange(len(family[0])))
+        elif spoil == "outside" and family:
+            rng.choice(family).append(rng.choice((-1, n, n + 7)))
+        elif spoil == "empty":
+            family.insert(rng.randint(0, len(family)), [])
+        elif spoil == "share" and len(family) > 1:
+            a, b = rng.sample(range(len(family)), 2)
+            if family[a]:
+                family[b].append(rng.choice(family[a]))
+        elif spoil == "D":
+            D += rng.choice((1, 2, 4 * radius))
+        elif spoil == "B":
+            B += rng.choice((-1, 1, 2))
+    witness = CoverWitness(space, families, D, B)
+    want = _literal_violations(witness, table)
+    report = verify_cover(witness)
+    assert report.violations == want
+    assert report.valid == (not want)
+
+
+def test_the_radius_315_plane_witness_verifies_in_linear_time():
+    # 199,081 points; comparing members pairwise took 54 s.
+    witness = parse_witness(format_witness(brick_cover(2, 1, 315)))
+    start = time.perf_counter()
+    report = verify_cover(witness)
+    assert time.perf_counter() - start < 2.0
+    assert report.valid, report.violations[:3]
+    _, peak = _traced_peak(lambda: verify_cover(witness))
+    assert peak < 64 * 2**20, peak

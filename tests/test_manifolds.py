@@ -316,3 +316,28 @@ def test_comments_and_whitespace_are_ignored():
     text = "dim 3;  -- trailing comment\n\n\npiece   m\tH3;\n-- done\n"
     desc = parse_manifold(text)
     assert desc == ManifoldDesc(3, (GeometricPiece("m", "H3"),))
+
+
+def test_an_injective_graph_walks_its_spanning_tree_once(monkeypatch):
+    import asdimlab.manifolds as manifolds
+
+    text = (
+        "dim 3;\ngraph m {\n  v p H3;\n  v q H3;\n  v s H3;\n"
+        "  e p q torus2;\n  e q s torus2;\n  e s p torus2;\n  pi1_injective true;\n}\n"
+    )
+    want = compile(parse_manifold(text))
+    calls = []
+    real = manifolds._spanning_tree
+
+    def counted(graph):
+        calls.append(graph.name)
+        return real(graph)
+
+    monkeypatch.setattr(manifolds, "_spanning_tree", counted)
+    desc = parse_manifold(text)
+    got = compile(desc)
+    # The connectivity check at parse time and the amalgam/HNN expression
+    # read the one tree kept on the graph.
+    assert calls == ["m"]
+    assert got == want and render(desc) == text
+    assert desc.summands[0].tree == ([(0, 1, 0), (0, 2, 2)], [1])
