@@ -16,6 +16,15 @@ _FINITE_UNKNOWN = 1
 _UNKNOWN = 2
 
 
+def natural_int(token: str) -> int:
+    """int(token) for the numerals str() writes for integers n >= 0 alone: a
+    sign, space, underscore, leading zero or non-ASCII digit raises
+    ValueError, worded as int() words it."""
+    if token.isascii() and token.isdigit() and (token[0] != "0" or len(token) == 1):
+        return int(token)
+    raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+
+
 class InconsistentBoundError(Exception):
     """A derived lower bound exceeds a numeric upper bound.
 
@@ -72,7 +81,7 @@ class ExtendedDim:
         if token == "?":
             return UNKNOWN
         if token.isdigit():
-            return finite(int(token))
+            return finite(natural_int(token))
         raise ValueError(f"bad dimension token {token!r}")
 
 
@@ -115,7 +124,7 @@ class DimBound:
         lo, sep, hi = text.partition("..")
         if not sep or not lo.isdigit():
             raise ValueError(f"bad bound {text!r}")
-        return cls(int(lo), ExtendedDim.parse(hi))
+        return cls(natural_int(lo), ExtendedDim.parse(hi))
 
     def __str__(self) -> str:
         return f"{self.lower}..{self.upper}"

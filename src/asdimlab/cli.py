@@ -181,13 +181,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def cmd_cover_build(args: argparse.Namespace) -> int:
-    from .coarse import BallBudgetError
-
     brick_cover, format_witness = _load("brick_cover", "format_witness")
-    try:
-        witness = brick_cover(args.rank, args.D, args.radius)
-    except BallBudgetError as exc:
-        return _error(f"error: {exc}")
+    witness = brick_cover(args.rank, args.D, args.radius)
     text = format_witness(witness)
     if args.output:
         if _write_text(args.output, text):
@@ -204,7 +199,7 @@ def cmd_cover_build(args: argparse.Namespace) -> int:
 
 
 def cmd_cover_verify(args: argparse.Namespace) -> int:
-    from .coarse import BallBudgetError, WitnessFormatError
+    from .coarse import WitnessFormatError
 
     parse_witness, verify_cover = _load("parse_witness", "verify_cover")
     loaded = _read_text(args.file)
@@ -215,7 +210,7 @@ def cmd_cover_verify(args: argparse.Namespace) -> int:
         witness = parse_witness(text)
     except WitnessFormatError as exc:
         return _error(f"{args.file}:{exc.line}: error: {exc.message}")
-    except (BallBudgetError, ValueError) as exc:
+    except ValueError as exc:
         # the label, line 2, names a ball that cayley_ball refuses to build
         return _error(f"{args.file}:2: error: {exc}")
     report = verify_cover(witness)
@@ -233,17 +228,14 @@ def cmd_cover_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_cover_search(args: argparse.Namespace) -> int:
-    from .coarse import SEARCH_POINT_LIMIT, BallBudgetError, parse_group_spec
+    from .coarse import SEARCH_POINT_LIMIT, parse_group_spec
 
     cayley_ball, min_families_exhaustive, format_witness = _load(
         "cayley_ball", "min_families_exhaustive", "format_witness"
     )
     spec = parse_group_spec(args.group)
-    try:
-        space = cayley_ball(spec, args.radius, SEARCH_POINT_LIMIT)
-        result = min_families_exhaustive(space, args.D, args.B, args.k_max)
-    except BallBudgetError as exc:
-        return _error(f"error: {exc}")
+    space = cayley_ball(spec, args.radius, SEARCH_POINT_LIMIT)
+    result = min_families_exhaustive(space, args.D, args.B, args.k_max)
     if result.k is None:
         print("k=none")
         return 1

@@ -39,7 +39,7 @@ DEFAULT_POINT_BUDGET = 200_000
 SEARCH_POINT_LIMIT = 24
 
 
-class BallBudgetError(Exception):
+class BallBudgetError(ValueError):
     """A requested ball or search instance exceeds the configured budget."""
 
 
@@ -90,10 +90,10 @@ def parse_group_spec(text: str) -> GroupSpec:
     for family in ("FreeAbelian", "FreeGroup"):
         prefix = family + "("
         if text.startswith(prefix) and text.endswith(")"):
-            inner = text[len(prefix):-1]
-            if not inner.isdigit():
+            rank = _natural(text[len(prefix):-1])
+            if rank is None:
                 raise ValueError(f"bad group spec {text!r}")
-            return GroupSpec(family, int(inner))
+            return GroupSpec(family, rank)
     raise ValueError(f"bad group spec {text!r}")
 
 
@@ -236,10 +236,10 @@ def _scan(dist, rows, row_labels, cols, col_labels, D: int):
 class Distances:
     """The distances of a finite space, read on demand.
 
-    shape is (n, n); dist[i, j] is an int and block(rows, cols) a fresh
-    int32 array of rows x cols.  verify_cover reads a family through
-    diameter and close_labels, whose defaults here read blocks of rows;
-    the ball oracles replace them with closed forms and D-neighbourhoods.
+    shape is (n, n); dist[i, j] is the int of a subclass's _entry(i, j)
+    and block(rows, cols) a fresh int32 array of rows x cols.  verify_cover
+    reads a family through diameter and close_labels, whose defaults here
+    read blocks of rows; the ball oracles use closed forms and D-neighbourhoods.
     """
 
     shape: tuple[int, int]
@@ -249,9 +249,6 @@ class Distances:
         if not (0 <= i < self.shape[0] and 0 <= j < self.shape[1]):
             raise IndexError(f"distance index {(i, j)} out of range for shape {self.shape}")
         return self._entry(i, j)
-
-    def _entry(self, i: int, j: int) -> int:
-        return int(self.block([i], [j])[0, 0])
 
     def block(self, rows, cols) -> np.ndarray:
         raise NotImplementedError
@@ -661,8 +658,8 @@ def verify_cover(witness: CoverWitness) -> CoverReport:
 
     Violations name the family/subset pair and the offending distance; the
     verdict is data, not an exception.  A family's diameters and close
-    subsets come from the space's oracle, which for a ball compares only
-    members within D of each other.
+    subsets come from the space's own oracle, whatever its size, which for
+    a ball compares only members within D of each other.
     """
     space = witness.space
     n = len(space)
@@ -683,9 +680,6 @@ def verify_cover(witness: CoverWitness) -> CoverReport:
         if i not in covered:
             violations.append(f"point {i} at {space.points[i]} is uncovered")
     dist = space.dist
-    if n <= 256 and not isinstance(dist, DenseDistances):
-        # One block of rows holds every distance of a space this small.
-        dist = DenseDistances(dist.block(range(n), range(n)))
     recomputed = 0
     for f, family in enumerate(witness.families):
         clean = [
@@ -904,10 +898,10 @@ def format_witness(witness: CoverWitness) -> str:
 
 
 def _natural(text: str) -> int | None:
-    """The value of a decimal numeral, or None.  int() refuses some digits
-    that isdigit() admits, such as superscripts, and numerals longer than
-    its digit limit."""
-    if text.isdigit():
+    """The value of a numeral as str() writes one for an integer n >= 0, or
+    None: for a sign, space, underscore, leading zero or non-ASCII digit,
+    and for more digits than int() converts."""
+    if text.isascii() and text.isdigit() and (text[0] != "0" or len(text) == 1):
         try:
             return int(text)
         except ValueError:
@@ -955,6 +949,7 @@ def parse_witness(text: str) -> CoverWitness:
     if lines[0] != "coarse-witness v1":
         raise WitnessFormatError(f"bad header {lines[0]!r}", 1)
     space = _parse_label(lines[1], 2)
+    n = len(space)
     d_line, b_line = lines[2], lines[3]
     D = _natural(d_line[2:]) if d_line.startswith("D ") else None
     if D is None or D < 1:
@@ -971,9 +966,9 @@ def parse_witness(text: str) -> CoverWitness:
         if not sep or not colon or fam is None or idx is None:
             raise WitnessFormatError(f"bad subset line {line!r}", lineno)
         if fam >= len(families):
-            if fam >= len(space):
+            if fam >= n:
                 raise WitnessFormatError(
-                    f"family index {fam} out of range for {len(space)}-point space", lineno
+                    f"family index {fam} out of range for {n}-point space", lineno
                 )
             families.extend([] for _ in range(fam + 1 - len(families)))
         elif fam != len(families) - 1:
@@ -991,9 +986,9 @@ def parse_witness(text: str) -> CoverWitness:
             i = _natural(piece)
             if i is None:
                 raise WitnessFormatError(f"bad point index {piece!r}", lineno)
-            if i >= len(space):
+            if i >= n:
                 raise WitnessFormatError(
-                    f"point index {i} out of range for {len(space)}-point space", lineno
+                    f"point index {i} out of range for {n}-point space", lineno
                 )
             if i in seen:
                 raise WitnessFormatError(f"duplicate point index {i}", lineno)

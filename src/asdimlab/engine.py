@@ -27,6 +27,7 @@ from .bounds import (
     DimBound,
     InconsistentBoundError,
     finite,
+    natural_int,
 )
 from .geometries import GeometryFact, factor_facts, lookup_geometry
 from .groups import (
@@ -50,7 +51,7 @@ from .groups import (
     is_infinite,
     normalize,
     postorder,
-    to_canonical,
+    to_canonical,  # noqa: F401 -- kept for bench/spans.py, which patches this name
 )
 
 
@@ -408,7 +409,7 @@ def parse_trace(text: str) -> ProofTrace:
             raise MalformedTraceError(f"line {lineno + 1}: expected 4 fields, got {len(fields)}")
         raw_index, rule_id, subject_field, raw_bound = fields
         try:
-            index = int(raw_index)
+            index = natural_int(raw_index)
             produced = parse_bound(raw_bound)
         except (ValueError, InconsistentBoundError) as exc:
             raise MalformedTraceError(f"line {lineno + 1}: {exc}") from exc
@@ -421,11 +422,11 @@ def parse_trace(text: str) -> ProofTrace:
             for token in tail.split(" "):
                 try:
                     if token.startswith("@"):
-                        refs.append(int(token[1:]))
+                        refs.append(natural_int(token[1:]))
                     elif ".." in token:
                         literals.append(parse_bound(token))
                     else:
-                        params.append(int(token))
+                        params.append(natural_int(token))
                 except (ValueError, InconsistentBoundError) as exc:
                     raise MalformedTraceError(f"line {lineno + 1}: bad token {token!r}") from exc
         steps.append(
@@ -600,14 +601,14 @@ class _Evaluator:
         raise TypeError(f"not a GroupExpr: {expr!r}")
 
     def _free_product(self, expr: FreeProduct, subject: str, factor_refs: tuple[int, ...]):
-        # Iterated amalgam over a single shared trivial edge group.
+        # Iterated amalgam over a single shared trivial edge group, each
+        # step named by the free product of the factors up to its own.
         edge = self.emit("R-FINITE", "Trivial")
-        acc = factor_refs[0]
-        for j in range(1, len(factor_refs)):
-            partial = FreeProduct(expr.factors[: j + 1])
-            acc = self.emit(
-                "R-AMALGAM", to_canonical(partial), refs=(acc, factor_refs[j], edge)
-            )
+        head, tail = expr.frame()
+        prefix, acc = head + self.subjects[id(expr.factors[0])], factor_refs[0]
+        for factor, ref in zip(expr.factors[1:], factor_refs[1:]):
+            prefix += "," + self.subjects[id(factor)]
+            acc = self.emit("R-AMALGAM", prefix + tail, refs=(acc, ref, edge))
         return self._lb_refined(expr, subject, acc)
 
     def _lattice(self, expr: Lattice, subject: str):

@@ -24,7 +24,7 @@ from collections.abc import Callable, Container, Iterator, Sequence
 from dataclasses import dataclass
 from operator import methodcaller
 
-from .bounds import DimBound, InconsistentBoundError
+from .bounds import DimBound, InconsistentBoundError, natural_int
 from .geometries import UnknownGeometryError, lookup_geometry
 
 SURFACE_KINDS = ("spherical", "flat", "hyperbolic")
@@ -486,8 +486,8 @@ class _Scanner:
         if not word.isdigit():
             raise self.error(f"expected an integer, found {word!r}")
         try:
-            return int(word)
-        except ValueError as exc:  # more digits than int() converts
+            return natural_int(word)
+        except ValueError as exc:  # a leading zero, or more digits than int() converts
             raise self.error(str(exc)) from exc
 
     def string(self) -> str:

@@ -267,7 +267,7 @@ def parse_manifold(text: str) -> ManifoldDesc:
     p = _Parser(_lex(text))
     p.expect_keyword("dim")
     dim_tok = p.expect_name("a dimension")
-    if not dim_tok.text.isdigit() or int(dim_tok.text) not in (3, 4):
+    if dim_tok.text not in ("3", "4"):
         p.fail(dim_tok, f"dimension must be 3 or 4, found {dim_tok.describe()}")
     dim = int(dim_tok.text)
     p.expect_punct(";")

@@ -11,8 +11,11 @@ from conftest import FIXTURES, GOLDEN, run_fresh
 import asdimlab.cli
 import asdimlab.coarse
 import asdimlab.engine
-from asdimlab.bounds import InconsistentBoundError
+from asdimlab.bounds import DimBound, InconsistentBoundError
 from asdimlab.cli import main
+from asdimlab.coarse import WitnessFormatError, parse_witness
+from asdimlab.groups import CanonicalFormError, parse_canonical
+from asdimlab.manifolds import ManifoldParseError, parse_manifold
 
 
 def run(capsys, *argv):
@@ -212,6 +215,58 @@ def test_cover_search_refuses_a_large_ball_before_building_it(capsys, monkeypatc
     )
     assert code == 2 and out == ""
     assert "24 points" in err
+
+
+def test_an_oversize_ball_is_a_value_error_that_main_refuses(capsys):
+    assert issubclass(asdimlab.coarse.BallBudgetError, ValueError)
+    refusals = {
+        ("cover", "build", "--rank", "3", "-D", "1", "--radius", "1000"):
+            "error: FreeAbelian(3) ball of radius 1000 has more than 200000 points, the point budget\n",
+        ("cover", "search", "--group", "FreeAbelian(2)", "--radius", "100", "-D", "1", "-B", "2"):
+            "error: FreeAbelian(2) ball of radius 100 has more than 24 points, the point budget\n",
+    }
+    for argv, line in refusals.items():
+        assert run(capsys, *argv) == (2, "", line)
+
+
+# Numerals that int() or str.isdigit() take but no writer writes: each
+# reader takes a numeral only as str(n) writes it for an integer n >= 0.
+_ODD_NUMERALS = ("+0", " 0", "0_0", "\u0660", "01")
+
+
+def test_every_reader_refuses_a_numeral_no_writer_writes(capsys):
+    for group in ("FreeAbelian(\u0662)", "FreeAbelian(\u00b2)", "FreeAbelian(02)"):
+        argv = ("cover", "search", "--group", group, "--radius", "1", "-D", "1", "-B", "2")
+        assert run(capsys, *argv) == (2, "", f"error: bad group spec {group!r}\n")
+    witness = "coarse-witness v1\ngroup=FreeAbelian(1) radius=2\nD 1\nB 4\n0:0 0,1,2,3,4\n"
+    assert len(parse_witness(witness).space) == 5
+    for old, new in (("radius=2", "radius=\u0662"), ("radius=2", "radius=02"), ("D 1", "D \u0661"),
+                     ("0:0 0,", "0:0 01,"), ("0:0 ", "00:0 ")):
+        with pytest.raises(WitnessFormatError):
+            parse_witness(witness.replace(old, new))
+    # a trace whose index, param and ref are all 0; each is replaced in turn
+    lines = ["0\tR-FINITE\tTrivial\t0..0", "1\tR-EUCLID\tFreeAbelian(0) <- 0\t0..0",
+             "2\tR-PROPER-ACTION\tX <- @0\t0..0"]
+    engine = asdimlab.engine
+    assert engine.replay(engine.parse_trace("\n".join(lines))) == DimBound.exact(0)
+    for odd in _ODD_NUMERALS:
+        variants = [odd + lines[0][1:], lines[1].replace("<- 0", "<- " + odd),
+                    lines[2].replace("@0", "@" + odd)]
+        for line, variant in enumerate(variants):
+            if " " in odd and line:
+                continue  # a space splits the token list itself
+            text = "\n".join(lines[:line] + [variant] + lines[line + 1:])
+            with pytest.raises(engine.MalformedTraceError):
+                engine.parse_trace(text)
+    for bound in ("01..02", "\u0663..\u0663", "0..01", "+0..0"):
+        with pytest.raises(ValueError):
+            DimBound.parse(bound)
+    for text in ("FreeAbelian(01)", "Finite(02)", "Lattice(H3,03,cocompact)"):
+        with pytest.raises(CanonicalFormError):
+            parse_canonical(text)
+    assert parse_manifold("dim 3;\npiece m H3;\n").dim == 3
+    with pytest.raises(ManifoldParseError):
+        parse_manifold("dim 03;\npiece m H3;\n")
 
 
 @pytest.mark.parametrize("radius", ["1000000", "100000000"])

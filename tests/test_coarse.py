@@ -899,9 +899,10 @@ def test_verify_cover_matches_the_literal_pairwise_reading():
     assert {"valid", "invalid", *KINDS} <= kinds
 
 
-# Balls of more than 256 points, so that verify_cover reads them through
-# their oracles' neighbourhood walks rather than as one block, each with its
-# distance table from the definitions and its pairs within distance 3.
+# Balls of every family, above and below 256 points: verify_cover reads each
+# through its own oracle's diameters and neighbourhood walks, whatever its
+# size.  Each comes with its distance table from the definitions and its
+# pairs within distance 3.
 _VERIFY_BALLS = {}
 
 
@@ -925,6 +926,12 @@ def _verify_ball(spec, radius):
         (GroupSpec("FreeGroup", 1), 130),
         (GroupSpec("FreeGroup", 2), 5),
         (GroupSpec("Heisenberg3"), 5),
+        (GroupSpec("FreeAbelian", 1), 40),
+        (GroupSpec("FreeAbelian", 2), 7),
+        (GroupSpec("FreeAbelian", 3), 3),
+        (GroupSpec("FreeGroup", 1), 40),
+        (GroupSpec("FreeGroup", 2), 3),
+        (GroupSpec("Heisenberg3"), 3),
     ],
 )
 @settings(derandomize=True, database=None, max_examples=10, deadline=None)

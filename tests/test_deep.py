@@ -7,12 +7,14 @@ group-expression walks far past the interpreter's recursion limit.
 """
 
 import sys
+import time
 
 from asdimlab import cli, engine, manifolds
 from asdimlab.bounds import DimBound
 from asdimlab.groups import (
     Amalgam,
     FreeAbelian,
+    FreeProduct,
     InfinitenessStatus,
     Lattice,
     Product,
@@ -65,6 +67,17 @@ def test_a_1000_vertex_f4_tree_bounds_and_replays():
     result, replayed = certify(f4_tree_text(1000))
     assert result.bound == DimBound.parse("4..4")
     assert replayed == result.bound
+
+
+def test_a_2000_summand_free_product_bounds_in_well_under_a_second():
+    # A connected sum compiles to one wide FreeProduct; its amalgam steps are
+    # named from the evaluator's memo, not by reserializing every prefix.
+    expr = FreeProduct(tuple(Lattice("H4", 4, True) for _ in range(2000)))
+    start = time.perf_counter()
+    result = engine.bound(expr)
+    assert time.perf_counter() - start < 0.5
+    assert result.bound == DimBound.parse("1..4")
+    assert len(result.trace.steps) == 2000 * 3 + 1999 + 3
 
 
 def test_cli_bounds_a_1000_vertex_chain_file(tmp_path, capsys):

@@ -21,6 +21,7 @@ from conftest import FIXTURES, make_expr
 
 from asdimlab import engine, manifolds
 from asdimlab.bounds import InconsistentBoundError
+from asdimlab.groups import FreeProduct, Lattice
 
 # fixture path -> (digest without aspherical_dim, digest with aspherical_dim=dim)
 TRACE_SHA256 = {
@@ -206,6 +207,10 @@ TRACE_SHA256 = {
     ),
 }
 
+# FreeProduct of 300 copies of Lattice(H4,4,cocompact): 299 R-AMALGAM steps,
+# each named by the free product of the factors up to its own
+WIDE_SUM_SHA256 = "2e5b12d6e14b002ee11348eebf3f10deec4e3e5619b990b26f1f35d3f6ac1a87"
+
 # 400 random expressions of depth 0..4 from make_expr, seed 61803, traces concatenated
 RANDOM_TRACES_SHA256 = "e02ddb4c76db76f01e58375e9376ae952dee56ed8a32a3e8abbfd5e63a514600"
 
@@ -241,3 +246,8 @@ def test_random_expression_trace_bytes_are_pinned():
         expr = make_expr(rng, depth=rng.randrange(0, 5))
         h.update(engine.serialize_trace(engine.bound(expr).trace).encode())
     assert h.hexdigest() == RANDOM_TRACES_SHA256
+
+
+def test_wide_free_product_trace_bytes_are_pinned():
+    expr = FreeProduct(tuple(Lattice("H4", 4, True) for _ in range(300)))
+    assert _digest(expr, None) == WIDE_SUM_SHA256
