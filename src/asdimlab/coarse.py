@@ -84,7 +84,6 @@ class GroupSpec:
 
 
 def parse_group_spec(text: str) -> GroupSpec:
-    text = text.strip()
     if text == "Heisenberg3":
         return GroupSpec("Heisenberg3")
     for family in ("FreeAbelian", "FreeGroup"):
@@ -236,22 +235,34 @@ def _scan(dist, rows, row_labels, cols, col_labels, D: int):
 class Distances:
     """The distances of a finite space, read on demand.
 
-    shape is (n, n); dist[i, j] is the int of a subclass's _entry(i, j)
-    and block(rows, cols) a fresh int32 array of rows x cols.  verify_cover
-    reads a family through diameter and close_labels, whose defaults here
-    read blocks of rows; the ball oracles use closed forms and D-neighbourhoods.
+    shape is (n, n).  A subclass states its metric once, in _rows(rows,
+    cols, out), which writes the distances of the index arrays rows x cols
+    into out.  block(rows, cols) is a fresh int32 array of rows x cols,
+    filled by _rows a chunk of rows at a time, whose full rows hold at
+    most _BLOCK_CELLS cells; dist[i, j] reads row i through block and
+    keeps that one row.  verify_cover reads a family through diameter and
+    close_labels, whose defaults here read blocks of rows; the ball
+    oracles use closed forms and D-neighbourhoods.
     """
 
     shape: tuple[int, int]
+    _row = (None, None)
 
     def __getitem__(self, key) -> int:
         i, j = map(operator.index, key)
         if not (0 <= i < self.shape[0] and 0 <= j < self.shape[1]):
             raise IndexError(f"distance index {(i, j)} out of range for shape {self.shape}")
-        return self._entry(i, j)
+        if self._row[0] != i:
+            self._row = (i, self.block([i], range(self.shape[1]))[0])
+        return int(self._row[1][j])
 
     def block(self, rows, cols) -> np.ndarray:
-        raise NotImplementedError
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        out = np.empty((len(rows), len(cols)), dtype=np.int32)
+        step = max(1, min(256, _BLOCK_CELLS // max(1, self.shape[1])))
+        for lo in range(0, len(rows), step):
+            self._rows(rows[lo : lo + step], cols, out[lo : lo + step])
+        return out
 
     def diameter(self, members: np.ndarray, runs: np.ndarray) -> int:
         """The largest distance between two members of one run, where
@@ -280,12 +291,9 @@ class DenseDistances(Distances):
         self.matrix = np.asarray(matrix)
         self.shape = self.matrix.shape
 
-    def _entry(self, i: int, j: int) -> int:
-        return int(self.matrix[i, j])
-
-    def block(self, rows, cols) -> np.ndarray:
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        return self.matrix[rows[:, None], cols]
+    def _rows(self, rows, cols, out) -> None:
+        # same_kind refuses a non-integer table instead of truncating it.
+        np.copyto(out, self.matrix[rows[:, None], cols], casting="same_kind")
 
 
 class L1Distances(Distances):
@@ -296,32 +304,19 @@ class L1Distances(Distances):
         """axes: the (rank, points) int32 coordinates, one row per axis."""
         self.axes = axes
         self.radius = radius
-        # The rows as a tuple, which unpacks faster than the array.
-        self._axis_rows = tuple(axes)
         self.shape = (axes.shape[1], axes.shape[1])
 
-    def _entry(self, i: int, j: int) -> int:
-        return sum(abs(int(axis[i]) - int(axis[j])) for axis in self._axis_rows)
-
-    def block(self, rows, cols) -> np.ndarray:
-        """Built one axis at a time with in-place ufuncs; from the second
-        axis on, its rows go through one buffer of at most 128 rows, so a
-        block of 256 rows peaks at 1.5 times its size plus the gathered
-        coordinates."""
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        first, *rest = self._axis_rows
-        block = np.subtract.outer(first[rows], first[cols])
-        np.abs(block, out=block)
-        if rest:
-            buf = np.empty_like(block[:128])
-            for start in range(0, len(block), 128):
-                part_rows, part = rows[start : start + 128], block[start : start + 128]
-                tmp = buf[: len(part)]
-                for axis in rest:
-                    np.subtract.outer(axis[part_rows], axis[cols], out=tmp)
-                    np.abs(tmp, out=tmp)
-                    part += tmp
-        return block
+    def _rows(self, rows, cols, out) -> None:
+        """Summed one axis at a time with in-place ufuncs, from the second
+        axis on through one buffer the size of the chunk."""
+        first, *rest = self.axes
+        np.subtract.outer(first[rows], first[cols], out=out)
+        np.abs(out, out=out)
+        tmp = np.empty_like(out) if rest else None
+        for axis in rest:
+            np.subtract.outer(axis[rows], axis[cols], out=tmp)
+            np.abs(tmp, out=tmp)
+            out += tmp
 
     def diameter(self, members: np.ndarray, runs: np.ndarray) -> int:
         """|x - y|_1 is the largest s.(x - y) over sign vectors s, and s and
@@ -366,44 +361,31 @@ class InducedDistances(Distances):
 
     adj is the (n, k) array of each point's neighbours, in which a
     neighbour outside the ball stands in as the point itself; it must be
-    symmetric and connected.  dist[i, j] keeps the one row it last read.
+    symmetric and connected.
     """
 
     def __init__(self, adj: np.ndarray):
         self.adj = adj
         self.shape = (len(adj), len(adj))
-        self._row = (None, None)
 
-    def _entry(self, i: int, j: int) -> int:
-        if self._row[0] != i:
-            self._row = (i, self.block([i], range(self.shape[0]))[0])
-        return int(self._row[1][j])
-
-    def block(self, rows, cols) -> np.ndarray:
-        """A breadth-first search from up to 256 sources at once, level by
-        level until it reaches every requested column."""
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        n = self.shape[0]
-        out = np.empty((len(rows), len(cols)), dtype=np.int32)
-        step = max(1, min(256, _BLOCK_CELLS // n))
-        for lo in range(0, len(rows), step):
-            sources = rows[lo : lo + step]
-            seen = np.zeros((n, len(sources)), dtype=bool)
-            seen[sources, np.arange(len(sources))] = True
-            frontier = seen.copy()
-            part = np.where(cols[:, None] == sources, 0, -1).astype(np.int32)
-            level = 0
-            while np.any(part < 0):
-                level += 1
-                reached = frontier[self.adj].any(axis=1)
-                reached &= ~seen
-                if not reached.any():
-                    raise AssertionError("ball graph is disconnected")
-                seen |= reached
-                part[reached[cols]] = level
-                frontier = reached
-            out[lo : lo + step] = part.T
-        return out
+    def _rows(self, rows, cols, out) -> None:
+        """A breadth-first search from every row at once, level by level
+        until it reaches every requested column."""
+        seen = np.zeros((self.shape[0], len(rows)), dtype=bool)
+        seen[rows, np.arange(len(rows))] = True
+        frontier = seen.copy()
+        part = np.where(cols[:, None] == rows, 0, -1).astype(np.int32)
+        level = 0
+        while np.any(part < 0):
+            level += 1
+            reached = frontier[self.adj].any(axis=1)
+            reached &= ~seen
+            if not reached.any():
+                raise AssertionError("ball graph is disconnected")
+            seen |= reached
+            part[reached[cols]] = level
+            frontier = reached
+        out[...] = part.T
 
     def _walk(self, sources, D: int):
         """Arrays (s, c, d): every point c within D of a source s, at
@@ -467,12 +449,8 @@ class WordDistances(InducedDistances):
         adj[0] = np.arange(1, q + 1)
         super().__init__(adj)
 
-    def _entry(self, i: int, j: int) -> int:
-        (du, pu), (dv, pv) = ((int(self.depth[k]), int(self.pos[k])) for k in (i, j))
-        common = min(du, dv)
-        while common and pu // self.w ** (du - common) != pv // self.w ** (dv - common):
-            common -= 1
-        return du + dv - 2 * common
+    def _rows(self, rows, cols, out) -> None:
+        out[...] = self._between(rows[:, None], cols)
 
     def _between(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Distances between the words of the index arrays u and v, which
@@ -489,14 +467,6 @@ class WordDistances(InducedDistances):
             lo = np.where(agree, mid, lo)
             hi = np.where(agree, hi, mid - 1)
         return du + dv - 2 * lo
-
-    def block(self, rows, cols) -> np.ndarray:
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        out = np.empty((len(rows), len(cols)), dtype=np.int32)
-        step = max(1, min(256, _BLOCK_CELLS // max(1, len(cols))))
-        for lo in range(0, len(rows), step):
-            out[lo : lo + step] = self._between(rows[lo : lo + step, None], cols)
-        return out
 
     def diameter(self, members: np.ndarray, runs: np.ndarray) -> int:
         """Two sweeps per run, exact in a tree: the member farthest from

@@ -235,7 +235,7 @@ _ODD_NUMERALS = ("+0", " 0", "0_0", "\u0660", "01")
 
 
 def test_every_reader_refuses_a_numeral_no_writer_writes(capsys):
-    for group in ("FreeAbelian(\u0662)", "FreeAbelian(\u00b2)", "FreeAbelian(02)"):
+    for group in ("FreeAbelian(\u0662)", "FreeAbelian(\u00b2)", "FreeAbelian(02)", " FreeAbelian(1)  "):
         argv = ("cover", "search", "--group", group, "--radius", "1", "-D", "1", "-B", "2")
         assert run(capsys, *argv) == (2, "", f"error: bad group spec {group!r}\n")
     witness = "coarse-witness v1\ngroup=FreeAbelian(1) radius=2\nD 1\nB 4\n0:0 0,1,2,3,4\n"

@@ -279,6 +279,17 @@ def _reference(space):
     return _induced_reference(space.points, coarse._heisenberg_neighbors)
 
 
+def _dense_sub_ball(radius):
+    """Every other point of the Z^2 ball, its distances a DenseDistances table."""
+    ball = cayley_ball(GroupSpec("FreeAbelian", 2), radius)
+    keep = list(range(0, len(ball), 2))
+    space = FiniteMetricSpace(
+        [ball.points[i] for i in keep], ball.dist.block(keep, keep), ball.label
+    )
+    assert type(space.dist) is coarse.DenseDistances
+    return space
+
+
 @pytest.mark.parametrize(
     "spec,radius",
     [
@@ -288,12 +299,13 @@ def _reference(space):
         (GroupSpec("FreeGroup", 1), 200),
         (GroupSpec("FreeGroup", 2), 5),
         (GroupSpec("Heisenberg3"), 5),
+        (_dense_sub_ball, 7),
     ],
 )
 def test_matrix_builders_match_their_definitions(spec, radius):
     # No builder makes the matrix any more: its oracle reads it entry by
     # entry and block by block.
-    ball = cayley_ball(spec, radius)
+    ball = spec(radius) if callable(spec) else cayley_ball(spec, radius)
     oracle, want, n = ball.dist, _reference(ball), len(ball)
     assert oracle.shape == (n, n)
     got = oracle.block(range(n), range(n))
@@ -308,6 +320,22 @@ def test_matrix_builders_match_their_definitions(spec, radius):
     rows = [rng.randrange(n) for _ in range(37)]
     cols = [rng.randrange(n) for _ in range(41)]
     assert oracle.block(rows, cols).tolist() == [[want[i][j] for j in cols] for i in rows]
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("FreeAbelian", 2), GroupSpec("FreeGroup", 2),
+                                  GroupSpec("Heisenberg3"), _dense_sub_ball])
+def test_a_row_of_single_distances_is_read_as_one_block(spec):
+    space = spec(3) if callable(spec) else cayley_ball(spec, 3)
+    dist, want, n = space.dist, _reference(space), len(space)
+    calls = []
+    rows = dist._rows
+    dist._rows = lambda *args: (calls.append(args[0].tolist()), rows(*args))
+    for i in (n - 1, 0):
+        assert [dist[i, j] for j in range(n)] == want[i]
+    assert calls == [[n - 1], [0]]
+    # A table that is not integer is refused, not truncated.
+    with pytest.raises(TypeError):
+        FiniteMetricSpace([(0,), (1,)], [[0, 0.5], [0.5, 0]], "x").dist.block([0, 1], [0, 1])
 
 
 @pytest.mark.parametrize(
