@@ -10,16 +10,17 @@ engineering choices rather than literature carry the marker
 "external/design-decision" in their citation text and are never presented
 as anything else.
 
-Rule arithmetic is deliberately tiny; each rule is one line.  ``bound`` is
+Each rule is one ``Rule`` record in ``RULES``: its arity and its arithmetic,
+which is deliberately tiny, sit beside its citation.  ``bound`` is
 observationally equivalent to folding ``apply_rule`` over the trace it
 emits, which is what ``replay`` checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bounds import (
     FINITE_UNKNOWN,
@@ -69,10 +70,20 @@ class MalformedTraceError(Exception):
 
 @dataclass(frozen=True)
 class Rule:
+    """One inequality rule, stated once: its id, what it says, its source,
+    its input shape, and the two facts ``apply_rule`` runs on.
+
+    ``arity`` is (least inputs, most inputs or None, param count).  ``arith``
+    maps the inputs and params to the produced bound; it also refuses, with
+    ``RuleArityError``, any param outside the rule's domain.
+    """
+
     id: str
     description: str
     citation: str
     shape: str
+    arity: tuple[int, int | None, int] = field(repr=False)
+    arith: Callable[..., DimBound] = field(repr=False, compare=False)
 
 
 def _sum_uppers(inputs):
@@ -82,203 +93,172 @@ def _sum_uppers(inputs):
     return total
 
 
-def _max_uppers(inputs):
-    return max(b.upper for b in inputs)
+def _surface(inputs, params):
+    if params[0] not in (0, 2):
+        raise RuleArityError(f"R-SURFACE param must be 0 or 2, got {params[0]}")
+    return DimBound.exact(params[0])
 
 
 def _relhyp(inputs, params):
+    if params[0] not in (0, 1):
+        raise RuleArityError(f"R-RELHYP param must be 0 or 1, got {params[0]}")
     if params[0] == 1:
+        if len(inputs) < 2:
+            raise RuleArityError("R-RELHYP with an ambient bound needs >= 2 inputs")
         return DimBound(0, inputs[-1].upper)
     if all(b.upper.is_finite for b in inputs):
         return DimBound(0, FINITE_UNKNOWN)
     return DimBound(0, UNKNOWN)
 
 
-def _combine(inputs):
-    return DimBound(max(b.lower for b in inputs), min(b.upper for b in inputs))
-
-
-# id -> (rule record, (min inputs, max inputs or None, param count), arithmetic)
-_TABLE = {
-    "R-FINITE": (
-        Rule(
-            "R-FINITE",
-            "finite groups have asymptotic dimension zero",
-            "a finitely generated group has asymptotic dimension zero exactly when it is finite",
-            "no inputs, no params -> [0,0]",
-        ),
+_RULES = (
+    Rule(
+        "R-FINITE",
+        "finite groups have asymptotic dimension zero",
+        "a finitely generated group has asymptotic dimension zero exactly when it is finite",
+        "no inputs, no params -> [0,0]",
         (0, 0, 0),
         lambda ins, ps: DimBound.exact(0),
     ),
-    "R-INFINITE-LB": (
-        Rule(
-            "R-INFINITE-LB",
-            "infinite groups have asymptotic dimension at least one",
-            "an infinite finitely generated group has asymptotic dimension at least one"
-            " (contrapositive of the dimension-zero characterization)",
-            "no inputs, no params -> [1,?]",
-        ),
+    Rule(
+        "R-INFINITE-LB",
+        "infinite groups have asymptotic dimension at least one",
+        "an infinite finitely generated group has asymptotic dimension at least one"
+        " (contrapositive of the dimension-zero characterization)",
+        "no inputs, no params -> [1,?]",
         (0, 0, 0),
         lambda ins, ps: DimBound(1, UNKNOWN),
     ),
-    "R-EUCLID": (
-        Rule(
-            "R-EUCLID",
-            "free abelian groups have exact asymptotic dimension equal to their rank",
-            "the free abelian group of rank n has asymptotic dimension exactly n",
-            "no inputs, params (n,) -> [n,n]",
-        ),
+    Rule(
+        "R-EUCLID",
+        "free abelian groups have exact asymptotic dimension equal to their rank",
+        "the free abelian group of rank n has asymptotic dimension exactly n",
+        "no inputs, params (n,) -> [n,n]",
         (0, 0, 1),
         lambda ins, ps: DimBound.exact(ps[0]),
     ),
-    "R-SURFACE": (
-        Rule(
-            "R-SURFACE",
-            "closed-surface groups: dimension zero (spherical) or exactly two (flat, hyperbolic)",
-            "fundamental groups of closed surfaces: finite in the spherical case,"
-            " asymptotic dimension two in the flat and hyperbolic cases",
-            "no inputs, params (d,) with d in {0,2} -> [d,d]",
-        ),
+    Rule(
+        "R-SURFACE",
+        "closed-surface groups: dimension zero (spherical) or exactly two (flat, hyperbolic)",
+        "fundamental groups of closed surfaces: finite in the spherical case,"
+        " asymptotic dimension two in the flat and hyperbolic cases",
+        "no inputs, params (d,) with d in {0,2} -> [d,d]",
+        (0, 0, 1),
+        _surface,
+    ),
+    Rule(
+        "R-LIE-LATTICE",
+        "cocompact lattices in Lie groups have exact asymptotic dimension dim(G/K)",
+        "Carlsson-Goldfarb: a cocompact lattice in a connected Lie group G with"
+        " maximal compact subgroup K has asymptotic dimension dim(G/K)",
+        "no inputs, params (d,) -> [d,d]",
         (0, 0, 1),
         lambda ins, ps: DimBound.exact(ps[0]),
     ),
-    "R-LIE-LATTICE": (
-        Rule(
-            "R-LIE-LATTICE",
-            "cocompact lattices in Lie groups have exact asymptotic dimension dim(G/K)",
-            "Carlsson-Goldfarb: a cocompact lattice in a connected Lie group G with"
-            " maximal compact subgroup K has asymptotic dimension dim(G/K)",
-            "no inputs, params (d,) -> [d,d]",
-        ),
-        (0, 0, 1),
-        lambda ins, ps: DimBound.exact(ps[0]),
-    ),
-    "R-PROPER-ACTION": (
-        Rule(
-            "R-PROPER-ACTION",
-            "a properly acting group is bounded by the space it acts on",
-            "a group Γ acting properly and isometrically on a proper metric space M"
-            " satisfies asdim Γ ≤ asdim M",
-            "one input -> [0, upper(input)]",
-        ),
+    Rule(
+        "R-PROPER-ACTION",
+        "a properly acting group is bounded by the space it acts on",
+        "a group Γ acting properly and isometrically on a proper metric space M"
+        " satisfies asdim Γ ≤ asdim M",
+        "one input -> [0, upper(input)]",
         (1, 1, 0),
         lambda ins, ps: DimBound(0, ins[0].upper),
     ),
-    "R-EXTENSION": (
-        Rule(
-            "R-EXTENSION",
-            "group extensions are bounded by kernel plus quotient",
-            "Bell-Dranishnikov extension theorem: for 1 -> K -> G -> Q -> 1,"
-            " asdim G ≤ asdim K + asdim Q",
-            "two inputs -> [0, upper(K) + upper(Q)]",
-        ),
+    Rule(
+        "R-EXTENSION",
+        "group extensions are bounded by kernel plus quotient",
+        "Bell-Dranishnikov extension theorem: for 1 -> K -> G -> Q -> 1,"
+        " asdim G ≤ asdim K + asdim Q",
+        "two inputs -> [0, upper(K) + upper(Q)]",
         (2, 2, 0),
         lambda ins, ps: DimBound(0, _sum_uppers(ins)),
     ),
-    "R-PRODUCT": (
-        Rule(
-            "R-PRODUCT",
-            "direct products are bounded by the sum of the factors",
-            "the asymptotic dimension of a direct product is at most the sum of the"
-            " asymptotic dimensions of its factors",
-            ">=1 inputs -> [0, sum of uppers]",
-        ),
+    Rule(
+        "R-PRODUCT",
+        "direct products are bounded by the sum of the factors",
+        "the asymptotic dimension of a direct product is at most the sum of the"
+        " asymptotic dimensions of its factors",
+        ">=1 inputs -> [0, sum of uppers]",
         (1, None, 0),
         lambda ins, ps: DimBound(0, _sum_uppers(ins)),
     ),
-    "R-UNION": (
-        Rule(
-            "R-UNION",
-            "finite unions of subspaces are bounded by the largest piece",
-            "Bell-Dranishnikov finite union theorem: a space covered by finitely many"
-            " subspaces has asymptotic dimension at most the maximum over the subspaces",
-            ">=1 inputs -> [0, max of uppers]",
-        ),
+    Rule(
+        "R-UNION",
+        "finite unions of subspaces are bounded by the largest piece",
+        "Bell-Dranishnikov finite union theorem: a space covered by finitely many"
+        " subspaces has asymptotic dimension at most the maximum over the subspaces",
+        ">=1 inputs -> [0, max of uppers]",
         (1, None, 0),
-        lambda ins, ps: DimBound(0, _max_uppers(ins)),
+        lambda ins, ps: DimBound(0, max(b.upper for b in ins)),
     ),
-    "R-AMALGAM": (
-        Rule(
-            "R-AMALGAM",
-            "amalgamated products over an edge group",
-            "Bell-Dranishnikov: asdim(A *_C B) ≤ max{asdim A, asdim B, asdim C + 1}",
-            "three inputs (A, B, C) -> [0, max{upper(A), upper(B), upper(C)+1}]",
-        ),
+    Rule(
+        "R-AMALGAM",
+        "amalgamated products over an edge group",
+        "Bell-Dranishnikov: asdim(A *_C B) ≤ max{asdim A, asdim B, asdim C + 1}",
+        "three inputs (A, B, C) -> [0, max{upper(A), upper(B), upper(C)+1}]",
         (3, 3, 0),
         lambda ins, ps: DimBound(0, max(ins[0].upper, ins[1].upper, ins[2].upper + finite(1))),
     ),
-    "R-HNN": (
-        Rule(
-            "R-HNN",
-            "HNN extensions over an edge group",
-            "external/design-decision: HNN analogue of the amalgam bound,"
-            " asdim(A *_C) ≤ max{asdim A, asdim C + 1}; adopted without a literature anchor",
-            "two inputs (A, C) -> [0, max{upper(A), upper(C)+1}]",
-        ),
+    Rule(
+        "R-HNN",
+        "HNN extensions over an edge group",
+        "external/design-decision: HNN analogue of the amalgam bound,"
+        " asdim(A *_C) ≤ max{asdim A, asdim C + 1}; adopted without a literature anchor",
+        "two inputs (A, C) -> [0, max{upper(A), upper(C)+1}]",
         (2, 2, 0),
         lambda ins, ps: DimBound(0, max(ins[0].upper, ins[1].upper + finite(1))),
     ),
-    "R-HYP": (
-        Rule(
-            "R-HYP",
-            "hyperbolic groups have finite asymptotic dimension",
-            "Gromov-hyperbolic groups have finite asymptotic dimension (Roe)",
-            "zero or one input -> witness bound if given, else [0,fin]",
-        ),
+    Rule(
+        "R-HYP",
+        "hyperbolic groups have finite asymptotic dimension",
+        "Gromov-hyperbolic groups have finite asymptotic dimension (Roe)",
+        "zero or one input -> witness bound if given, else [0,fin]",
         (0, 1, 0),
         lambda ins, ps: ins[0] if ins else DimBound(0, FINITE_UNKNOWN),
     ),
-    "R-RELHYP": (
-        Rule(
-            "R-RELHYP",
-            "relatively hyperbolic groups inherit finiteness from their peripherals",
-            "Osin: a group hyperbolic relative to peripheral subgroups of finite"
-            " asymptotic dimension has finite asymptotic dimension",
-            "peripheral inputs (+ ambient input last when params=(1,)) -> [0, fin/ambient]",
-        ),
+    Rule(
+        "R-RELHYP",
+        "relatively hyperbolic groups inherit finiteness from their peripherals",
+        "Osin: a group hyperbolic relative to peripheral subgroups of finite"
+        " asymptotic dimension has finite asymptotic dimension",
+        "peripheral inputs (+ ambient input last when params=(1,)) -> [0, fin/ambient]",
         (1, None, 1),
         _relhyp,
     ),
-    "R-NAGATA": (
-        Rule(
-            "R-NAGATA",
-            "Nagata dimension bounds asymptotic dimension from above",
-            "Lang-Schlichenmaier: asymptotic dimension is at most Nagata dimension;"
-            " for the complex hyperbolic plane the Nagata dimension is four",
-            "no inputs, params (n,) -> [0,n]",
-        ),
+    Rule(
+        "R-NAGATA",
+        "Nagata dimension bounds asymptotic dimension from above",
+        "Lang-Schlichenmaier: asymptotic dimension is at most Nagata dimension;"
+        " for the complex hyperbolic plane the Nagata dimension is four",
+        "no inputs, params (n,) -> [0,n]",
         (0, 0, 1),
         lambda ins, ps: DimBound(0, finite(ps[0])),
     ),
-    "R-ASPH-LB": (
-        Rule(
-            "R-ASPH-LB",
-            "closed aspherical n-manifolds force a lower bound of n",
-            "for a closed aspherical n-manifold, asdim π1 ≥ cd π1 = n"
-            " (cohomological-dimension lower bound)",
-            "no inputs, params (n,) -> [n,?]",
-        ),
+    Rule(
+        "R-ASPH-LB",
+        "closed aspherical n-manifolds force a lower bound of n",
+        "for a closed aspherical n-manifold, asdim π1 ≥ cd π1 = n"
+        " (cohomological-dimension lower bound)",
+        "no inputs, params (n,) -> [n,?]",
         (0, 0, 1),
         lambda ins, ps: DimBound(ps[0], UNKNOWN),
     ),
-    "R-COMBINE": (
-        Rule(
-            "R-COMBINE",
-            "componentwise best of several derivations for the same group",
-            "external/design-decision: componentwise best of independently derived"
-            " bounds (max of lowers, min of uppers); bookkeeping, not a theorem",
-            ">=1 inputs -> [max of lowers, min of uppers]",
-        ),
+    Rule(
+        "R-COMBINE",
+        "componentwise best of several derivations for the same group",
+        "external/design-decision: componentwise best of independently derived"
+        " bounds (max of lowers, min of uppers); bookkeeping, not a theorem",
+        ">=1 inputs -> [max of lowers, min of uppers]",
         (1, None, 0),
-        lambda ins, ps: _combine(ins),
+        lambda ins, ps: DimBound(max(b.lower for b in ins), min(b.upper for b in ins)),
     ),
-}
+)
 
-RULES = MappingProxyType({rid: entry[0] for rid, entry in _TABLE.items()})
+RULES = MappingProxyType({rule.id: rule for rule in _RULES})
 
 
 def list_rules() -> tuple[Rule, ...]:
-    return tuple(entry[0] for entry in _TABLE.values())
+    return _RULES
 
 
 def apply_rule(
@@ -287,26 +267,19 @@ def apply_rule(
     params: Sequence[int] = (),
 ) -> DimBound:
     """Pure arithmetic of a single rule application."""
-    entry = _TABLE.get(rule_id)
-    if entry is None:
+    rule = RULES.get(rule_id)
+    if rule is None:
         raise UnknownRuleError(f"unknown rule {rule_id!r}")
-    rule, (lo, hi, nparams), arith = entry
+    lo, hi, nparams = rule.arity
     ins = tuple(inputs)
     ps = tuple(params)
     if len(ins) < lo or (hi is not None and len(ins) > hi):
         raise RuleArityError(f"{rule_id} takes {rule.shape}; got {len(ins)} inputs")
     if len(ps) != nparams:
         raise RuleArityError(f"{rule_id} takes {nparams} params; got {len(ps)}")
-    if rule_id == "R-SURFACE" and ps[0] not in (0, 2):
-        raise RuleArityError(f"R-SURFACE param must be 0 or 2, got {ps[0]}")
     if nparams and ps[0] < 0:
         raise RuleArityError(f"{rule_id} param must be non-negative, got {ps[0]}")
-    if rule_id == "R-RELHYP":
-        if ps[0] not in (0, 1):
-            raise RuleArityError(f"R-RELHYP param must be 0 or 1, got {ps[0]}")
-        if ps[0] == 1 and len(ins) < 2:
-            raise RuleArityError("R-RELHYP with an ambient bound needs >= 2 inputs")
-    return arith(ins, ps)
+    return rule.arith(ins, ps)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +508,6 @@ class _Evaluator:
         return step.index
 
     def combine(self, subject, candidates):
-        if len(candidates) == 1:
-            return candidates[0]
         return self.emit("R-COMBINE", subject, refs=tuple(candidates))
 
     def _lb_refined(self, expr, subject, main_idx):
@@ -618,8 +589,7 @@ class _Evaluator:
         candidates = [self.emit("R-INFINITE-LB", subject)]
         rule = fact.lattice_rule
         if expr.cocompact and rule in ("R-LIE-LATTICE", "R-EUCLID", "R-SURFACE"):
-            param = 2 if rule == "R-SURFACE" else fact.dim
-            candidates.append(self.emit(rule, subject, params=(param,)))
+            candidates.append(self.emit(rule, subject, params=(fact.dim,)))
         elif rule == "R-NAGATA":
             model = self.emit(
                 "R-NAGATA", f"model({fact.name})", params=(fact.model_asdim.upper.value,)

@@ -92,6 +92,36 @@ def test_bound_diagnostics_carry_positions(capsys, name, line, col):
     assert f"{path}:{line}:{col}: error: " in err
 
 
+@pytest.mark.parametrize(
+    "text,diagnostic",
+    [
+        ("dim 3;\npiece a H3;\npiece b E3;\nsum a # b;\nsum a # b;\n",
+         "5:1: error: duplicate sum statement"),
+        ("dim 3;\n", "2:1: error: program declares no summands"),
+        ("dim 3;\npiece a H3;\nfoo;\n",
+         "3:1: error: expected piece, graph, sum or alexandrov, found 'foo'"),
+        ("dim 3;\npiece a H3;\nalexandrov maybe;\n",
+         "3:12: error: expected 'true' or 'false', found 'maybe'"),
+        ("dim 3;\npiece ;\n", "2:7: error: expected a summand name, found ';'"),
+    ],
+)
+def test_bound_refuses_bad_programs_with_one_line(tmp_path, capsys, text, diagnostic):
+    path = tmp_path / "m.mfd"
+    path.write_text(text)
+    assert run(capsys, "bound", str(path)) == (2, "", f"{path}:{diagnostic}\n")
+
+
+def test_readers_refuse_undecodable_and_missing_files(tmp_path, capsys):
+    path = tmp_path / "m.mfd"
+    path.write_bytes(b"dim 3;\xff\n")
+    for argv in (["bound", str(path)], ["cover", "verify", str(path)]):
+        assert run(capsys, *argv) == (2, "", f"{path}: error: not valid UTF-8 (invalid start byte)\n")
+    missing = tmp_path / "missing.txt"
+    assert run(capsys, "cover", "verify", str(missing)) == (
+        2, "", f"{missing}: error: No such file or directory\n"
+    )
+
+
 def test_catalog_text(capsys):
     code, out, _ = run(capsys, "catalog", "--dim", "4")
     assert code == 0

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_expr
 
-from asdimlab import engine
+from asdimlab import engine, geometries
 from asdimlab.bounds import (
     FINITE_UNKNOWN,
     UNKNOWN,
@@ -54,8 +54,29 @@ def b(text):
     return DimBound.parse(text)
 
 
+# (least inputs, most inputs or None, param count), from README's rule table.
+README_ARITY = {
+    "R-FINITE": (0, 0, 0),
+    "R-INFINITE-LB": (0, 0, 0),
+    "R-EUCLID": (0, 0, 1),
+    "R-SURFACE": (0, 0, 1),
+    "R-LIE-LATTICE": (0, 0, 1),
+    "R-PROPER-ACTION": (1, 1, 0),
+    "R-EXTENSION": (2, 2, 0),
+    "R-PRODUCT": (1, None, 0),
+    "R-UNION": (1, None, 0),
+    "R-AMALGAM": (3, 3, 0),
+    "R-HNN": (2, 2, 0),
+    "R-HYP": (0, 1, 0),
+    "R-RELHYP": (1, None, 1),
+    "R-NAGATA": (0, 0, 1),
+    "R-ASPH-LB": (0, 0, 1),
+    "R-COMBINE": (1, None, 0),
+}
+
+
 def test_rule_table():
-    assert {r.id for r in list_rules()} == RULE_IDS
+    assert {r.id for r in list_rules()} == RULE_IDS == set(README_ARITY)
     assert len(list_rules()) == 16
     # rules without a literature anchor are flagged as local decisions
     flagged = {rid for rid, rule in RULES.items() if "external/design-decision" in rule.citation}
@@ -98,8 +119,9 @@ def test_apply_rule_errors():
         apply_rule("R-FINITE", [b("0..0")])
     with pytest.raises(RuleArityError):
         apply_rule("R-EUCLID", [])  # missing parameter
-    with pytest.raises(RuleArityError):
-        apply_rule("R-SURFACE", [], (1,))
+    for d in (1, 3):
+        with pytest.raises(RuleArityError):
+            apply_rule("R-SURFACE", [], (d,))
     with pytest.raises(RuleArityError):
         apply_rule("R-EUCLID", [], (-2,))
     with pytest.raises(RuleArityError):
@@ -110,8 +132,35 @@ def test_apply_rule_errors():
         apply_rule("R-RELHYP", [b("0..2")], (1,))  # ambient flag without ambient input
     with pytest.raises(RuleArityError):
         apply_rule("R-RELHYP", [b("0..2")], (7,))
+    with pytest.raises(RuleArityError):
+        apply_rule("R-RELHYP", [b("0..2"), b("0..4")], (2,))
     with pytest.raises(InconsistentBoundError):
         apply_rule("R-COMBINE", [b("4..?"), b("0..2")])
+
+
+@pytest.mark.parametrize("rule_id", sorted(README_ARITY))
+def test_every_rule_refuses_inputs_outside_its_arity(rule_id):
+    lo, hi, nparams = README_ARITY[rule_id]
+    params = (0,) if rule_id == "R-RELHYP" else (2,) * nparams
+    assert isinstance(apply_rule(rule_id, [b("0..1")] * lo, params), DimBound)
+    refused = [([b("0..1")] * lo, params + (2,))]
+    if lo > 0:
+        refused.append(([b("0..1")] * (lo - 1), params))
+    if hi is not None:
+        refused.append(([b("0..1")] * (hi + 1), params))
+    if nparams:
+        refused += [([b("0..1")] * lo, ()), ([b("0..1")] * lo, (-1,))]
+    for inputs, ps in refused:
+        with pytest.raises(RuleArityError):
+            apply_rule(rule_id, inputs, ps)
+
+
+def test_every_catalog_lattice_rule_is_an_engine_rule():
+    for dim in (1, 2, 3, 4):
+        for fact in geometries._BY_DIM[dim]:
+            assert fact.lattice_rule in RULES, (fact.name, fact.lattice_rule)
+            # the evaluator passes the catalog dimension as the surface param
+            assert fact.lattice_rule != "R-SURFACE" or fact.dim == 2
 
 
 def test_bound_leaves():

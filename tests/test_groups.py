@@ -161,6 +161,11 @@ def test_parse_canonical_errors_carry_positions():
             parse_canonical(text)
 
 
+def test_parse_canonical_counts_arguments():
+    with pytest.raises(CanonicalFormError, match=r"^offset 0: Amalgam takes 3 arguments, got 2$"):
+        parse_canonical("Amalgam(Trivial,Trivial)")
+
+
 def test_canonical_round_trip_random():
     rng = random.Random(4031)
     for _ in range(1000):
