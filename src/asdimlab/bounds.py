@@ -5,11 +5,16 @@ integer, "finite but no number known" (the conclusion of qualitative
 finiteness theorems), and "unknown".  ``ExtendedDim`` models that scale;
 ``DimBound`` pairs an integer lower bound with an extended upper bound and
 refuses to exist when the two contradict each other.
+
+Both are hash-consed (Filliâtre & Conchon, "Type-safe modular hash-consing",
+2006): each distinct value is validated and built once, with its hash and text,
+then shared through a weak-value table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import weakref
 
 _NUMBER = 0
 _FINITE_UNKNOWN = 1
@@ -33,25 +38,76 @@ class InconsistentBoundError(Exception):
     """
 
 
-@dataclass(frozen=True, order=True)
-class ExtendedDim:
-    """A dimension value: Number(n), FiniteUnknown, or Unknown.
+class _Shared:
+    """An immutable value shared through its class's weak-value ``_table``.
+    ``_key`` is its field tuple; equality, hashing, copying and pickling go
+    through it, so a duplicate built by a racing thread still compares equal."""
+
+    __slots__ = ("_key", "_hash", "_str", "__weakref__")
+
+    @classmethod
+    def _share(cls, key: tuple, text: str):
+        self = object.__new__(cls)
+        for name, v in zip(cls.__slots__ + ("_key", "_hash", "_str"), key + (key, hash(key), text)):
+            object.__setattr__(self, name, v)
+        return cls._table.setdefault(key, self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __str__(self) -> str:
+        return self._str
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key
+
+
+@functools.total_ordering
+class ExtendedDim(_Shared):
+    """A dimension value: Number(n), FiniteUnknown, or Unknown.  Both fields
+    are exact ints (bool and float raise ValueError), so equal values print alike.
 
     Ordering is Number(0) < Number(1) < ... < FiniteUnknown < Unknown,
     which the (rank, value) field order realizes directly.
     """
 
-    rank: int
-    value: int = 0
+    __slots__ = ("rank", "value")
+    _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-    def __post_init__(self) -> None:
-        if self.rank not in (_NUMBER, _FINITE_UNKNOWN, _UNKNOWN):
-            raise ValueError(f"bad ExtendedDim rank {self.rank!r}")
-        if self.rank == _NUMBER:
-            if self.value < 0:
-                raise ValueError(f"negative dimension {self.value}")
-        elif self.value != 0:
+    def __new__(cls, rank: int, value: int = 0) -> "ExtendedDim":
+        if type(rank) is not int or rank not in (_NUMBER, _FINITE_UNKNOWN, _UNKNOWN):
+            raise ValueError(f"bad ExtendedDim rank {rank!r}")
+        if type(value) is not int:
+            raise ValueError(f"ExtendedDim value must be an int, got {value!r}")
+        key = (rank, value)
+        self = cls._table.get(key)
+        if self is not None:
+            return self
+        if rank == _NUMBER:
+            if value < 0:
+                raise ValueError(f"negative dimension {value}")
+            return cls._share(key, str(value))
+        if value != 0:
             raise ValueError("non-numeric ExtendedDim carries no value")
+        return cls._share(key, "fin" if rank == _FINITE_UNKNOWN else "?")
+
+    def __lt__(self, other):
+        return self._key < other._key if type(other) is ExtendedDim else NotImplemented
 
     @property
     def is_number(self) -> bool:
@@ -68,11 +124,6 @@ class ExtendedDim:
         if _FINITE_UNKNOWN in (self.rank, other.rank):
             return FINITE_UNKNOWN
         return finite(self.value + other.value)
-
-    def __str__(self) -> str:
-        if self.rank == _NUMBER:
-            return str(self.value)
-        return "fin" if self.rank == _FINITE_UNKNOWN else "?"
 
     @staticmethod
     def parse(token: str) -> "ExtendedDim":
@@ -94,25 +145,29 @@ def finite(n: int) -> ExtendedDim:
     return ExtendedDim(_NUMBER, n)
 
 
-@dataclass(frozen=True)
-class DimBound:
+class DimBound(_Shared):
     """Two-sided asymptotic-dimension bound: lower ≤ asdim ≤ upper.
 
-    The lower bound is always a plain integer; the upper lives on the
+    The lower bound is always an exact int; the upper lives on the
     extended scale.  Construction enforces lower ≤ upper whenever the
     upper is numeric, raising InconsistentBoundError otherwise.
     """
 
-    lower: int
-    upper: ExtendedDim
+    __slots__ = ("lower", "upper")
+    _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-    def __post_init__(self) -> None:
-        if self.lower < 0:
-            raise ValueError(f"negative lower bound {self.lower}")
-        if self.upper.is_number and self.lower > self.upper.value:
-            raise InconsistentBoundError(
-                f"lower bound {self.lower} exceeds upper bound {self.upper}"
-            )
+    def __new__(cls, lower: int, upper: ExtendedDim) -> "DimBound":
+        if type(lower) is not int:
+            raise ValueError(f"DimBound lower must be an int, got {lower!r}")
+        key = (lower, upper)
+        self = cls._table.get(key)
+        if self is not None:
+            return self
+        if lower < 0:
+            raise ValueError(f"negative lower bound {lower}")
+        if upper.is_number and lower > upper.value:
+            raise InconsistentBoundError(f"lower bound {lower} exceeds upper bound {upper}")
+        return cls._share(key, f"{lower}..{upper}")
 
     @classmethod
     def exact(cls, n: int) -> "DimBound":
@@ -125,6 +180,3 @@ class DimBound:
         if not sep or not lo.isdigit():
             raise ValueError(f"bad bound {text!r}")
         return cls(natural_int(lo), ExtendedDim.parse(hi))
-
-    def __str__(self) -> str:
-        return f"{self.lower}..{self.upper}"

@@ -122,7 +122,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 {"kind": c.kind, "condition": c.condition, "citation": c.citation}
                 for c in cons
             ],
-            "trace": engine.serialize_trace(result.trace).splitlines() if args.trace else None,
+            "trace": engine.trace_lines(engine.serialize_trace(result.trace)) if args.trace else None,
         }
         print(json.dumps(payload, indent=2))
         return 0
@@ -138,7 +138,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         print("consequences: none")
     if args.trace:
         print("trace:")
-        for line in engine.serialize_trace(result.trace).splitlines():
+        for line in engine.trace_lines(engine.serialize_trace(result.trace)):
             print(f"  {line}")
         used: list[str] = []
         for step in result.trace.steps:

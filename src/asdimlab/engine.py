@@ -18,9 +18,10 @@ emits, which is what ``replay`` checks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .bounds import (
     FINITE_UNKNOWN,
@@ -266,7 +267,9 @@ def apply_rule(
     inputs: Sequence[DimBound],
     params: Sequence[int] = (),
 ) -> DimBound:
-    """Pure arithmetic of a single rule application."""
+    """Pure arithmetic of a single rule application.  Every call checks the
+    rule id, input count and params (non-negative ``int``); the arithmetic is
+    then cached by (rule id, inputs, params), and refusals are never cached."""
     rule = RULES.get(rule_id)
     if rule is None:
         raise UnknownRuleError(f"unknown rule {rule_id!r}")
@@ -277,18 +280,24 @@ def apply_rule(
         raise RuleArityError(f"{rule_id} takes {rule.shape}; got {len(ins)} inputs")
     if len(ps) != nparams:
         raise RuleArityError(f"{rule_id} takes {nparams} params; got {len(ps)}")
+    if nparams and type(ps[0]) is not int:
+        raise RuleArityError(f"{rule_id} param must be an int, got {ps[0]!r}")
     if nparams and ps[0] < 0:
         raise RuleArityError(f"{rule_id} param must be non-negative, got {ps[0]}")
-    return rule.arith(ins, ps)
+    return _arith(rule_id, ins, ps)
+
+
+@functools.lru_cache(maxsize=1024)
+def _arith(rule_id: str, ins: tuple[DimBound, ...], ps: tuple[int, ...]) -> DimBound:
+    return RULES[rule_id].arith(ins, ps)
 
 
 # ---------------------------------------------------------------------------
 # Proof traces
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """One rule application in SSA form.
+class TraceStep(NamedTuple):
+    """One rule application in SSA form, a tuple of its seven fields.
 
     ``refs`` point at earlier steps whose produced bounds feed this one;
     ``literals`` are bounds injected from outside the trace (catalog values,
@@ -317,7 +326,8 @@ class BoundResult:
 
 
 def replay(trace: ProofTrace) -> DimBound:
-    """Recompute the final bound from the steps alone.
+    """Check every step's recorded bound against ``apply_rule``, which
+    computes each distinct application once; return the final bound.
 
     The empty trace is the degenerate derivation for the trivial group and
     replays to [0,0].  Any inconsistency (bad indices, dangling refs, rule
@@ -331,7 +341,7 @@ def replay(trace: ProofTrace) -> DimBound:
         for r in step.refs:
             if r < 0 or r >= pos:
                 raise MalformedTraceError(f"step {pos} references step {r}")
-        ins = [produced[r] for r in step.refs] + list(step.literals)
+        ins = tuple([produced[r] for r in step.refs]) + tuple(step.literals)
         try:
             recomputed = apply_rule(step.rule_id, ins, step.params)
         except (UnknownRuleError, RuleArityError, InconsistentBoundError, ValueError) as exc:
@@ -365,6 +375,13 @@ def serialize_trace(trace: ProofTrace) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def trace_lines(text: str) -> list[str]:
+    """The records of a trace text: split on "\\n" alone, as a subject may
+    hold any other line break, less one trailing "\\r" each (CRLF text)."""
+    lines = text.split("\n")
+    return [line.removesuffix("\r") for line in (lines if lines[-1] else lines[:-1])]
+
+
 def parse_trace(text: str) -> ProofTrace:
     # A trace repeats a handful of distinct bound tokens; parse each once.
     bounds: dict[str, DimBound] = {}
@@ -376,7 +393,7 @@ def parse_trace(text: str) -> ProofTrace:
         return parsed
 
     steps = []
-    for lineno, line in enumerate(text.splitlines()):
+    for lineno, line in enumerate(trace_lines(text)):
         fields = line.split("\t")
         if len(fields) != 4:
             raise MalformedTraceError(f"line {lineno + 1}: expected 4 fields, got {len(fields)}")
@@ -493,19 +510,10 @@ class _Evaluator:
         self.status: dict[int, InfinitenessStatus] = {}
 
     def emit(self, rule_id, subject, refs=(), literals=(), params=()):
-        ins = [self.steps[r].produced for r in refs] + list(literals)
-        produced = apply_rule(rule_id, ins, params)
-        step = TraceStep(
-            index=len(self.steps),
-            rule_id=rule_id,
-            subject=subject,
-            produced=produced,
-            refs=tuple(refs),
-            literals=tuple(literals),
-            params=tuple(params),
-        )
-        self.steps.append(step)
-        return step.index
+        steps = self.steps
+        produced = apply_rule(rule_id, tuple([steps[r].produced for r in refs]) + literals, params)
+        steps.append(TraceStep(len(steps), rule_id, subject, produced, refs, literals, params))
+        return len(steps) - 1
 
     def combine(self, subject, candidates):
         return self.emit("R-COMBINE", subject, refs=tuple(candidates))

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from asdimlab import groups
 from asdimlab.bounds import FINITE_UNKNOWN, UNKNOWN, DimBound, finite
 
@@ -58,6 +60,13 @@ def random_bound(rng: random.Random) -> DimBound:
     if isinstance(upper, int):
         return DimBound(rng.randrange(0, upper + 1), finite(upper))
     return DimBound(rng.randrange(0, 5), upper)
+
+
+# Every bound random_bound can draw, as a Hypothesis strategy.
+BOUNDS = st.one_of(
+    st.integers(0, 6).flatmap(lambda u: st.integers(0, u).map(lambda lo: DimBound(lo, finite(u)))),
+    st.builds(DimBound, st.integers(0, 4), st.sampled_from((FINITE_UNKNOWN, UNKNOWN))),
+)
 
 
 def leaf_expr(rng: random.Random) -> groups.GroupExpr:

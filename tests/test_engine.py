@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_expr
+from conftest import BOUNDS, make_expr
 
 from asdimlab import engine, geometries
 from asdimlab.bounds import (
@@ -16,12 +18,14 @@ from asdimlab.bounds import (
 )
 from asdimlab.engine import (
     RULES,
+    MalformedTraceError,
     RuleArityError,
     UnknownRuleError,
     apply_rule,
     bound,
     consequences,
     list_rules,
+    parse_trace,
     replay,
     serialize_trace,
 )
@@ -286,3 +290,50 @@ def test_replay_agrees_on_random_expressions():
         expr = make_expr(rng, depth=rng.randrange(0, 4))
         result = bound(expr)
         assert replay(result.trace) == result.bound
+
+
+# apply_rule caches each distinct application; these check that the cache
+# changes no result, no refusal and no step check.
+
+
+def test_a_repeated_application_is_checked_at_every_step():
+    h3 = Lattice("H3", 3, True)
+    lines = serialize_trace(bound(Amalgam(h3, h3, SurfaceGroup("flat"))).trace).splitlines()
+    # steps 1 and 4 make the same application; only step 4's bound is edited
+    assert lines[1].split("\t")[1:] == lines[4].split("\t")[1:]
+    assert lines[4].endswith("\t0..3")
+    lines[4] = lines[4][: -len("0..3")] + "0..2"
+    with pytest.raises(MalformedTraceError, match=r"^step 4 records 0\.\.2, arithmetic gives 0\.\.3$"):
+        replay(parse_trace("\n".join(lines)))
+
+
+def test_a_refused_application_is_refused_every_time():
+    for _ in range(2):
+        with pytest.raises(RuleArityError, match="R-SURFACE param must be 0 or 2, got 1"):
+            apply_rule("R-SURFACE", [], [1])
+
+
+@pytest.mark.parametrize("param", [True, 2.0, "2"], ids=["bool", "float", "str"])
+def test_a_param_that_is_not_an_int_is_refused(param):
+    assert apply_rule("R-EUCLID", [], [1]) == DimBound.exact(1)
+    with pytest.raises(RuleArityError, match=r"^R-EUCLID param must be an int, got "):
+        apply_rule("R-EUCLID", [], [param])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_a_cached_application_equals_the_rule_arithmetic(data):
+    rule = data.draw(st.sampled_from(list_rules()))
+    lo, hi, nparams = rule.arity
+    ins = data.draw(st.lists(BOUNDS, min_size=lo, max_size=lo + 3 if hi is None else hi))
+    ps = data.draw(st.lists(st.integers(0, 4), min_size=nparams, max_size=nparams))
+
+    def outcome(apply):
+        try:
+            return apply()
+        except (RuleArityError, InconsistentBoundError) as exc:
+            return type(exc), str(exc)
+
+    outcome(lambda: apply_rule(rule.id, ins, ps))  # warm the cache
+    cached = outcome(lambda: apply_rule(rule.id, ins, ps))
+    assert cached == outcome(lambda: rule.arith(tuple(ins), tuple(ps)))

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 
@@ -5,8 +6,8 @@ import pytest
 
 from conftest import FIXTURES, make_cover_expr, make_expr
 
-from asdimlab import manifolds
-from asdimlab.bounds import DimBound, finite
+from asdimlab import engine, manifolds
+from asdimlab.bounds import DimBound, ExtendedDim, finite
 from asdimlab.engine import (
     MalformedTraceError,
     ProofTrace,
@@ -17,7 +18,15 @@ from asdimlab.engine import (
     serialize_trace,
 )
 from asdimlab.geometries import factor_facts, list_geometries, lookup_geometry
-from asdimlab.groups import ActsOnCover, Amalgam, FreeAbelian, Lattice, SurfaceGroup, Trivial
+from asdimlab.groups import (
+    ActsOnCover,
+    Amalgam,
+    FreeAbelian,
+    Lattice,
+    ProperActionOn,
+    SurfaceGroup,
+    Trivial,
+)
 
 
 def test_empty_trace_is_the_trivial_derivation():
@@ -65,6 +74,50 @@ def test_golden_trace_for_an_amalgam():
     )
     assert serialize_trace(result.trace) == expected
     assert replay(parse_trace(expected)) == DimBound.parse("3..3")
+
+
+def test_a_trace_step_is_the_tuple_of_its_fields():
+    step = TraceStep(0, "R-EUCLID", "FreeAbelian(2)", DimBound.exact(2), params=(2,))
+    assert repr(step) == (
+        "TraceStep(index=0, rule_id='R-EUCLID', subject='FreeAbelian(2)', "
+        "produced=DimBound(lower=2, upper=ExtendedDim(rank=0, value=2)), "
+        "refs=(), literals=(), params=(2,))"
+    )
+    assert step == (0, "R-EUCLID", "FreeAbelian(2)", DimBound.exact(2), (), (), (2,))
+    assert step == bound(FreeAbelian(2)).trace.steps[0]
+
+
+# Every line break str.splitlines knows, other than "\n"; a label may hold each.
+LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=[f"U+{ord(c):04X}" for c in LINE_BREAKS])
+def test_a_label_holding_a_line_break_round_trips(brk):
+    result = bound(ProperActionOn(DimBound(0, finite(1)), f"a{brk}b"))
+    text = serialize_trace(result.trace)
+    assert parse_trace(text) == result.trace
+    assert replay(parse_trace(text)) == result.bound
+
+
+def test_crlf_traces_parse_and_bare_cr_traces_do_not():
+    text = serialize_trace(bound(Amalgam(FreeAbelian(1), FreeAbelian(2), Trivial())).trace)
+    assert parse_trace(text.replace("\n", "\r\n")) == parse_trace(text)
+    with pytest.raises(MalformedTraceError, match="^line 1: expected 4 fields"):
+        parse_trace(text.replace("\n", "\r"))
+
+
+def test_shared_value_tables_stay_bounded():
+    # each step holds a distinct literal; once the trace is gone, only the
+    # rule cache keeps any of them alive
+    gc.collect()
+    before = len(DimBound._table), len(ExtendedDim._table)
+    n = 20_000
+    text = "".join(f"{i}\tR-PROPER-ACTION\tX <- 0..{i}\t0..{i}\n" for i in range(n))
+    assert str(replay(parse_trace(text))) == f"0..{n - 1}"
+    gc.collect()
+    maxsize = engine._arith.cache_info().maxsize
+    assert len(DimBound._table) <= before[0] + maxsize
+    assert len(ExtendedDim._table) <= before[1] + maxsize
 
 
 def test_tampered_produced_bound_is_caught():
