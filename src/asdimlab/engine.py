@@ -50,7 +50,7 @@ from .groups import (
     SurfaceGroup,
     Trivial,
     Union,
-    is_infinite,
+    is_infinite,  # noqa: F401 -- kept for bench/spans.py, which patches this name
     normalize,
     postorder,
     to_canonical,  # noqa: F401 -- kept for bench/spans.py, which patches this name
@@ -407,8 +407,10 @@ def parse_trace(text: str) -> ProofTrace:
         refs: list[int] = []
         literals: list[DimBound] = []
         params: list[int] = []
-        if " <- " in subject_field:
-            subject, _, tail = subject_field.rpartition(" <- ")
+        head, arrow, tail = subject_field.rpartition(" <- ")
+        # Input tokens never hold '"', so a tail that does is part of a label.
+        if arrow and '"' not in tail:
+            subject = head
             for token in tail.split(" "):
                 try:
                     if token.startswith("@"):
@@ -484,30 +486,16 @@ def consequences(bound: DimBound, aspherical: bool) -> tuple[Consequence, ...]:
 # The evaluator
 
 
-# Composite variants whose upper bound is one rule over their parts' bounds.
-_PART_RULES = {
-    Product: "R-PRODUCT",
-    ActsOnCover: "R-PROPER-ACTION",
-    Amalgam: "R-AMALGAM",
-    HNN: "R-HNN",
-    Extension: "R-EXTENSION",
-    Union: "R-UNION",
-}
-
-
 class _Evaluator:
-    """One bound derivation: the trace so far plus per-node memos.
+    """One bound derivation: the trace so far.
 
-    ``subjects`` and ``status`` map ``id(node)`` to the node's canonical text
-    and infiniteness.  Both are filled during the walk from the children's
-    entries, so each distinct node costs O(children) calls however often it
-    occurs; the caller keeps the expression alive while the memos are used.
+    ``eval`` keeps, for each finished node, its final step index, canonical
+    text and infiniteness on a stack, and derives a node's own from its
+    children's entries, so it holds no map from nodes to anything.
     """
 
     def __init__(self) -> None:
         self.steps: list[TraceStep] = []
-        self.subjects: dict[int, str] = {}
-        self.status: dict[int, InfinitenessStatus] = {}
 
     def emit(self, rule_id, subject, refs=(), literals=(), params=()):
         steps = self.steps
@@ -515,82 +503,44 @@ class _Evaluator:
         steps.append(TraceStep(len(steps), rule_id, subject, produced, refs, literals, params))
         return len(steps) - 1
 
-    def combine(self, subject, candidates):
-        return self.emit("R-COMBINE", subject, refs=tuple(candidates))
+    def eval(self, expr: GroupExpr) -> tuple[int, str, InfinitenessStatus]:
+        """Emit the derivation of every node, children first; the root's entry.
 
-    def _lb_refined(self, expr, subject, main_idx):
-        # Append the infinite-group lower bound when the structural predicate
-        # forces it; UNDETERMINED never produces a lower bound.
-        if is_infinite(expr, self.status) is InfinitenessStatus.INFINITE:
-            lb = self.emit("R-INFINITE-LB", subject)
-            return self.combine(subject, [main_idx, lb])
-        return main_idx
-
-    def subject(self, expr: GroupExpr) -> str:
-        key = id(expr)
-        text = self.subjects.get(key)
-        if text is None:
-            head, tail = expr.frame()
-            text = head + ",".join([self.subjects[id(k)] for k in expr.children()]) + tail
-            self.subjects[key] = text
-        return text
-
-    def eval(self, expr: GroupExpr) -> int:
-        """Emit the derivation of every node, children first; the root's step index.
-
-        ``done`` holds the final step index of each finished node whose
-        parent has not finished yet, so a node's children are its top entries.
+        ``done`` holds the entry of each finished node whose parent has not
+        finished yet, so a node's children are its top entries.
         """
-        done: list[int] = []
+        done: list[tuple[int, str, InfinitenessStatus]] = []
         for node in postorder(expr):
+            derive = _DERIVE.get(type(node))
+            if derive is None:
+                raise TypeError(f"not a GroupExpr: {node!r}")
             n = len(node.children())
-            refs = tuple(done[len(done) - n:])
+            kids = done[len(done) - n:]
             del done[len(done) - n:]
-            done.append(self._node(node, self.subject(node), refs))
+            head, tail = node.frame()
+            subject = head + ",".join([k[1] for k in kids]) + tail
+            status = node.infiniteness([k[2] for k in kids])
+            idx = derive(self, node, subject, kids)
+            if kids and status is InfinitenessStatus.INFINITE:
+                # A composite forced infinite gains the infinite-group lower
+                # bound; a leaf's own steps carry its lower bound.
+                lb = self.emit("R-INFINITE-LB", subject)
+                idx = self.emit("R-COMBINE", subject, (idx, lb))
+            done.append((idx, subject, status))
         return done[0]
 
-    def _node(self, expr: GroupExpr, subject: str, refs: tuple[int, ...]) -> int:
-        rule = _PART_RULES.get(type(expr))
-        if rule is not None:
-            return self._lb_refined(expr, subject, self.emit(rule, subject, refs=refs))
-        if isinstance(expr, (Trivial, Finite)):
-            return self.emit("R-FINITE", subject)
-        if isinstance(expr, FreeAbelian):
-            if expr.rank == 0:
-                return self.emit("R-FINITE", subject)
-            return self.emit("R-EUCLID", subject, params=(expr.rank,))
-        if isinstance(expr, SurfaceGroup):
-            d = 0 if expr.kind == "spherical" else 2
-            return self.emit("R-SURFACE", subject, params=(d,))
-        if isinstance(expr, Lattice):
-            return self._lattice(expr, subject)
-        if isinstance(expr, FreeProduct):
-            return self._free_product(expr, subject, refs)
-        if isinstance(expr, ProperActionOn):
-            return self.emit("R-PROPER-ACTION", subject, literals=(expr.space_bound,))
-        if isinstance(expr, HyperbolicGroup):
-            lits = () if expr.witness_bound is None else (expr.witness_bound,)
-            return self.emit("R-HYP", subject, literals=lits)
-        if isinstance(expr, RelHyperbolic):
-            if expr.ambient_bound is None:
-                return self.emit("R-RELHYP", subject, refs=refs, params=(0,))
-            return self.emit(
-                "R-RELHYP", subject, refs=refs, literals=(expr.ambient_bound,), params=(1,)
-            )
-        raise TypeError(f"not a GroupExpr: {expr!r}")
-
-    def _free_product(self, expr: FreeProduct, subject: str, factor_refs: tuple[int, ...]):
+    def _free_product(self, expr: FreeProduct, subject: str, kids) -> int:
         # Iterated amalgam over a single shared trivial edge group, each
         # step named by the free product of the factors up to its own.
         edge = self.emit("R-FINITE", "Trivial")
         head, tail = expr.frame()
-        prefix, acc = head + self.subjects[id(expr.factors[0])], factor_refs[0]
-        for factor, ref in zip(expr.factors[1:], factor_refs[1:]):
-            prefix += "," + self.subjects[id(factor)]
+        acc, prefix = kids[0][0], head + kids[0][1]
+        for ref, text, _ in kids[1:]:
+            prefix += "," + text
             acc = self.emit("R-AMALGAM", prefix + tail, refs=(acc, ref, edge))
-        return self._lb_refined(expr, subject, acc)
+        return acc
 
-    def _lattice(self, expr: Lattice, subject: str):
+    def _lattice(self, expr: Lattice, subject: str, kids) -> int:
         fact = lookup_geometry(expr.geometry, expr.dim)
         if fact.compact_model:
             return self.emit("R-FINITE", subject)
@@ -620,7 +570,44 @@ class _Evaluator:
             # recorded alongside the numeric one, not merged into it.
             peripheral = DimBound(0, finite(fact.dim - 1))
             candidates.append(self.emit("R-RELHYP", subject, literals=(peripheral,), params=(0,)))
-        return self.combine(subject, candidates)
+        return self.emit("R-COMBINE", subject, tuple(candidates))
+
+
+def _step(make: Callable[..., tuple[str, tuple[DimBound, ...], tuple[int, ...]]]):
+    """A variant derived in the one step ``make(node)``, a (rule, literals,
+    params) triple whose refs are the node's children's final steps."""
+
+    def derive(ev: _Evaluator, node: GroupExpr, subject: str, kids) -> int:
+        rule, literals, params = make(node)
+        return ev.emit(rule, subject, tuple([k[0] for k in kids]), literals, params)
+
+    return derive
+
+
+# How each variant is derived from its children's stack entries.
+_DERIVE = {
+    Trivial: _step(lambda e: ("R-FINITE", (), ())),
+    Finite: _step(lambda e: ("R-FINITE", (), ())),
+    FreeAbelian: _step(lambda e: ("R-EUCLID", (), (e.rank,)) if e.rank else ("R-FINITE", (), ())),
+    SurfaceGroup: _step(lambda e: ("R-SURFACE", (), (0 if e.kind == "spherical" else 2,))),
+    Lattice: _Evaluator._lattice,
+    ProperActionOn: _step(lambda e: ("R-PROPER-ACTION", (e.space_bound,), ())),
+    HyperbolicGroup: _step(
+        lambda e: ("R-HYP", () if e.witness_bound is None else (e.witness_bound,), ())
+    ),
+    RelHyperbolic: _step(
+        lambda e: ("R-RELHYP", (), (0,))
+        if e.ambient_bound is None
+        else ("R-RELHYP", (e.ambient_bound,), (1,))
+    ),
+    Product: _step(lambda e: ("R-PRODUCT", (), ())),
+    FreeProduct: _Evaluator._free_product,
+    Amalgam: _step(lambda e: ("R-AMALGAM", (), ())),
+    HNN: _step(lambda e: ("R-HNN", (), ())),
+    Extension: _step(lambda e: ("R-EXTENSION", (), ())),
+    Union: _step(lambda e: ("R-UNION", (), ())),
+    ActsOnCover: _step(lambda e: ("R-PROPER-ACTION", (), ())),
+}
 
 
 def bound(expr: GroupExpr, aspherical_dim: int | None = None) -> BoundResult:
@@ -639,11 +626,10 @@ def bound(expr: GroupExpr, aspherical_dim: int | None = None) -> BoundResult:
     if isinstance(expr, Trivial) and aspherical_dim is None:
         return BoundResult(DimBound.exact(0), ProofTrace(()))
     ev = _Evaluator()
-    idx = ev.eval(expr)
+    idx, subject, _ = ev.eval(expr)
     if aspherical_dim is not None:
-        subject = ev.subjects[id(expr)]
         lb = ev.emit("R-ASPH-LB", subject, params=(aspherical_dim,))
-        idx = ev.combine(subject, [idx, lb])
+        idx = ev.emit("R-COMBINE", subject, (idx, lb))
     return BoundResult(ev.steps[idx].produced, ProofTrace(tuple(ev.steps)))
 
 

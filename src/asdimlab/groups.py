@@ -382,9 +382,7 @@ def postorder(
             stack.extend((child, False) for child in reversed(parts(node)))
 
 
-def is_infinite(
-    expr: GroupExpr, memo: dict[int, InfinitenessStatus] | None = None
-) -> InfinitenessStatus:
+def is_infinite(expr: GroupExpr) -> InfinitenessStatus:
     """Conservative structural infiniteness test.
 
     Only patterns that force the answer are decided; everything else is
@@ -393,12 +391,10 @@ def is_infinite(
     extensions, subspace unions and the evidence leaves stay undetermined
     even when a sharper eye would settle them.
 
-    ``memo`` maps ``id(node)`` to a status already computed.  A caller that
-    asks about many subexpressions of one expression passes the same dict
-    to every call, and keeps the expression alive while it does, so each
-    node is decided once.
+    Each distinct node is decided once, so a shared subexpression costs
+    nothing after its first occurrence.
     """
-    memo = {} if memo is None else memo
+    memo: dict[int, InfinitenessStatus] = {}
     for node in postorder(expr, memo):
         memo[id(node)] = node.infiniteness([memo[id(p)] for p in node.children()])
     return memo[id(expr)]

@@ -42,6 +42,7 @@ OutsideClassifiedCasesError, the compiler's only failure mode.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -147,8 +148,7 @@ class CompileResult(NamedTuple):
 # Lexer
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
     col: int
@@ -158,35 +158,28 @@ class _Token:
         return "end of input" if self.kind == "eof" else repr(self.text)
 
 
+# One alternative per lexeme; the name of the group that matched is its kind.
+_LEXEME = re.compile(
+    r"(?P<newline>\n)|(?P<blank>[ \t\r]+)|(?P<comment>--[^\n]*)|(?P<punct>[;{}#])"
+    f"|(?P<name>[{re.escape(''.join(sorted(_NAME_CHARS)))}]+)|(?P<other>.)"
+)
+
+
 def _lex(text: str) -> list[_Token]:
+    """Tokens with 1-based (line, col) positions.  A comment takes up no
+    columns, so end of input right after one sits at the comment's start."""
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in ";{}#":
-            tokens.append(_Token(ch, line, col, "punct"))
-            col += 1
-            i += 1
-        elif ch in _NAME_CHARS:
-            start, startcol = i, col
-            while i < n and text[i] in _NAME_CHARS:
-                i += 1
-                col += 1
-            tokens.append(_Token(text[start:i], line, startcol, "name"))
-        else:
-            raise ManifoldParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("", line, col, "eof"))
+    line, line_start, end = 1, 0, 0
+    for m in _LEXEME.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind in ("name", "punct"):
+            tokens.append(_Token(m.group(), line, col, kind))
+        elif kind == "other":
+            raise ManifoldParseError(f"unexpected character {m.group()!r}", line, col)
+        end = m.start() if kind == "comment" else m.end()
+    tokens.append(_Token("", line, end - line_start + 1, "eof"))
     return tokens
 
 

@@ -1,6 +1,7 @@
 """Expression tree construction, normalization, infiniteness, canonical form."""
 
 import random
+import time
 
 import pytest
 
@@ -115,6 +116,16 @@ def test_is_infinite_composites():
     assert is_infinite(HyperbolicGroup()) is UND
     assert is_infinite(ProperActionOn(DimBound(0, finite(3)), "x")) is UND
     assert is_infinite(RelHyperbolic((z,))) is UND
+
+
+def test_is_infinite_decides_each_distinct_node_once():
+    # a tree of 2**201 leaf occurrences but only 203 distinct nodes
+    x = Product((Finite(2), FreeAbelian(1)))
+    for _ in range(200):
+        x = Product((x, x))
+    start = time.perf_counter()
+    assert is_infinite(x) is INF
+    assert time.perf_counter() - start < 1.0
 
 
 def test_canonical_examples():

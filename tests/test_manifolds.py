@@ -80,6 +80,20 @@ def test_negative_fixtures(name):
     assert fragment in err.message
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("dim 4;\n-- only a comment", (2, 1)),
+        ("dim 4;\npiece a H4;\npiece b H4; -- no sum", (3, 13)),
+    ],
+)
+def test_end_of_input_after_a_trailing_comment_sits_at_the_comment(text, position):
+    # a comment takes up no columns, so end of input lies where it starts
+    with pytest.raises(ManifoldParseError) as info:
+        parse_manifold(text)
+    assert (info.value.line, info.value.col) == position
+
+
 def test_outside_classified_cases_carries_a_position():
     text = (FIXTURES / "bad" / "outside_cases.mfd").read_text()
     desc = parse_manifold(text)  # parses fine; compilation rejects it

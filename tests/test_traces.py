@@ -23,6 +23,7 @@ from asdimlab.groups import (
     Amalgam,
     FreeAbelian,
     Lattice,
+    Product,
     ProperActionOn,
     SurfaceGroup,
     Trivial,
@@ -91,9 +92,18 @@ def test_a_trace_step_is_the_tuple_of_its_fields():
 LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
-@pytest.mark.parametrize("brk", LINE_BREAKS, ids=[f"U+{ord(c):04X}" for c in LINE_BREAKS])
-def test_a_label_holding_a_line_break_round_trips(brk):
-    result = bound(ProperActionOn(DimBound(0, finite(1)), f"a{brk}b"))
+# Labels holding the trace's input separator " <- " before a token's shape.
+ARROW_LABELS = {"arrow-ref": "x <- @0", "arrow-literal": "x <- 0..1"}
+
+
+@pytest.mark.parametrize(
+    "label",
+    [f"a{brk}b" for brk in LINE_BREAKS] + list(ARROW_LABELS.values()),
+    ids=[f"U+{ord(c):04X}" for c in LINE_BREAKS] + list(ARROW_LABELS),
+)
+def test_a_label_holding_a_line_break_round_trips(label):
+    # the Product adds a tokenless R-INFINITE-LB step whose subject holds the label
+    result = bound(Product((ProperActionOn(DimBound(0, finite(1)), label), FreeAbelian(1))))
     text = serialize_trace(result.trace)
     assert parse_trace(text) == result.trace
     assert replay(parse_trace(text)) == result.bound
