@@ -361,18 +361,19 @@ def serialize_trace(trace: ProofTrace) -> str:
 
     Fields are tab-separated.  Input tokens follow the subject after
     " <- ": "@i" for step references, "l..u" for literal bounds, bare
-    integers for params.
+    integers for params.  The fields of every step go into one list that
+    is joined once, so each subject is copied once.
     """
-    lines = []
-    for s in trace.steps:
-        tokens = (
-            [f"@{r}" for r in s.refs]
-            + [str(b) for b in s.literals]
-            + [str(p) for p in s.params]
-        )
-        subject = s.subject if not tokens else f"{s.subject} <- {' '.join(tokens)}"
-        lines.append(f"{s.index}\t{s.rule_id}\t{subject}\t{s.produced}")
-    return "".join(line + "\n" for line in lines)
+    out: list[str] = []
+    for index, rule_id, subject, produced, refs, literals, params in trace.steps:
+        out += (str(index), "\t", rule_id, "\t", subject)
+        if refs or literals or params:
+            tokens = [f"@{r}" for r in refs]
+            tokens += map(str, literals)
+            tokens += map(str, params)
+            out += (" <- ", " ".join(tokens))
+        out += ("\t", str(produced), "\n")
+    return "".join(out)
 
 
 def trace_lines(text: str) -> list[str]:
@@ -487,15 +488,22 @@ def consequences(bound: DimBound, aspherical: bool) -> tuple[Consequence, ...]:
 
 
 class _Evaluator:
-    """One bound derivation: the trace so far.
+    """One bound derivation: the trace so far, and where each distinct leaf's
+    steps first appear in it.
 
     ``eval`` keeps, for each finished node, its final step index, canonical
     text and infiniteness on a stack, and derives a node's own from its
-    children's entries, so it holds no map from nodes to anything.
+    children's entries, so it holds no map keyed by node identity.  A leaf
+    is derived, with ``apply_rule``'s checks, at its first occurrence only.
+    ``leaves`` maps its canonical text, which names it losslessly, to the
+    range of that first block of steps, its final step and its
+    infiniteness; every later occurrence appends a copy of the block, its
+    indices and refs shifted to its own position.
     """
 
     def __init__(self) -> None:
         self.steps: list[TraceStep] = []
+        self.leaves: dict[str, tuple[int, int, int, InfinitenessStatus]] = {}
 
     def emit(self, rule_id, subject, refs=(), literals=(), params=()):
         steps = self.steps
@@ -515,19 +523,42 @@ class _Evaluator:
             if derive is None:
                 raise TypeError(f"not a GroupExpr: {node!r}")
             n = len(node.children())
+            head, tail = node.frame()
+            if not n:
+                done.append(self._leaf(node, head + tail, derive))
+                continue
             kids = done[len(done) - n:]
             del done[len(done) - n:]
-            head, tail = node.frame()
             subject = head + ",".join([k[1] for k in kids]) + tail
             status = node.infiniteness([k[2] for k in kids])
             idx = derive(self, node, subject, kids)
-            if kids and status is InfinitenessStatus.INFINITE:
+            if status is InfinitenessStatus.INFINITE:
                 # A composite forced infinite gains the infinite-group lower
                 # bound; a leaf's own steps carry its lower bound.
                 lb = self.emit("R-INFINITE-LB", subject)
                 idx = self.emit("R-COMBINE", subject, (idx, lb))
             done.append((idx, subject, status))
         return done[0]
+
+    def _leaf(self, node: GroupExpr, subject: str, derive) -> tuple[int, str, InfinitenessStatus]:
+        """A leaf's entry: derived at its first occurrence, copied after."""
+        steps = self.steps
+        base = len(steps)
+        known = self.leaves.get(subject)
+        if known is None:
+            status = node.infiniteness([])
+            final = derive(self, node, subject, ())
+            self.leaves[subject] = base, len(steps), final, status
+            return final, subject, status
+        start, stop, final, status = known
+        shift = base - start
+        new = tuple.__new__
+        steps.extend([
+            new(TraceStep, (i + shift, rule, text, produced,
+                            tuple([r + shift for r in refs]) if refs else refs, literals, params))
+            for i, rule, text, produced, refs, literals, params in steps[start:stop]
+        ])
+        return final + shift, subject, status
 
     def _free_product(self, expr: FreeProduct, subject: str, kids) -> int:
         # Iterated amalgam over a single shared trivial edge group, each
@@ -618,9 +649,12 @@ def bound(expr: GroupExpr, aspherical_dim: int | None = None) -> BoundResult:
     caller, not inferred here.  Raises InconsistentBoundError when a lower
     bound provably exceeds a numeric upper bound.
 
-    One iterative walk over the normalized expression emits the trace; its
-    cost is linear in the number of expression nodes plus the bytes of the
-    subjects it writes, at any nesting depth.
+    One iterative walk over the normalized expression emits the trace, at
+    any nesting depth.  Rules are applied, with their checks, once per
+    composite step and once per step of each distinct leaf; every repeated
+    leaf appends a copy of its first derivation's steps.  So the cost is the
+    distinct leaves' derivations plus a tuple per step and the bytes of the
+    subjects of the composites.
     """
     expr = normalize(expr)
     if isinstance(expr, Trivial) and aspherical_dim is None:

@@ -150,36 +150,64 @@ class CompileResult(NamedTuple):
 
 class _Token(NamedTuple):
     text: str
-    line: int
-    col: int
+    offset: int
     kind: str  # "name", "punct", "eof"
 
     def describe(self) -> str:
         return "end of input" if self.kind == "eof" else repr(self.text)
 
 
-# One alternative per lexeme; the name of the group that matched is its kind.
+# One match per token: the blanks, line breaks and comments before it, then
+# one alternative per lexeme, the name of the group that matched being its
+# kind.  The end-of-input alternative lets the last match take the trailing
+# blanks, so they are read once, not retried position by position, and an
+# unexpected character takes the rest of the input, so it ends the tokens.
 _LEXEME = re.compile(
-    r"(?P<newline>\n)|(?P<blank>[ \t\r]+)|(?P<comment>--[^\n]*)|(?P<punct>[;{}#])"
-    f"|(?P<name>[{re.escape(''.join(sorted(_NAME_CHARS)))}]+)|(?P<other>.)"
+    r"(?:[ \t\r\n]+|--[^\n]*)*"
+    f"(?:(?P<punct>[;{{}}#])|(?P<name>[{re.escape(''.join(sorted(_NAME_CHARS)))}]+)"
+    r"|(?P<eof>\Z)|(?P<other>.)(?s:.*))"
 )
 
 
+class _Lines:
+    """1-based (line, col) of offsets into a text.  Each answer starts from
+    the last one, so offsets asked for in increasing order cost time linear
+    in the text in total."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.offset, self.line, self.line_start = 0, 1, 0
+
+    def at(self, offset: int) -> tuple[int, int]:
+        if offset < self.offset:
+            self.offset, self.line, self.line_start = 0, 1, 0
+        text = self.text
+        self.line += text.count("\n", self.offset, offset)
+        self.line_start = max(self.line_start, text.rfind("\n", self.offset, offset) + 1)
+        self.offset = offset
+        return self.line, offset - self.line_start + 1
+
+
 def _lex(text: str) -> list[_Token]:
-    """Tokens with 1-based (line, col) positions.  A comment takes up no
-    columns, so end of input right after one sits at the comment's start."""
-    tokens: list[_Token] = []
-    line, line_start, end = 1, 0, 0
-    for m in _LEXEME.finditer(text):
-        kind, col = m.lastgroup, m.start() - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind in ("name", "punct"):
-            tokens.append(_Token(m.group(), line, col, kind))
-        elif kind == "other":
-            raise ManifoldParseError(f"unexpected character {m.group()!r}", line, col)
-        end = m.start() if kind == "comment" else m.end()
-    tokens.append(_Token("", line, end - line_start + 1, "eof"))
+    """Tokens with their offsets, one regular-expression match each.  A
+    comment takes up no columns, so end of input right after one sits at
+    the comment's start."""
+    new = tuple.__new__
+    tokens = [
+        new(_Token, (m.group(kind), m.start(kind), kind))
+        for m in _LEXEME.finditer(text)
+        for kind in (m.lastgroup,)
+    ]
+    # A last match that is not empty leaves room for one more, an empty eof.
+    if len(tokens) > 1 and tokens[-2].kind in ("eof", "other"):
+        del tokens[-1]
+    last = tokens[-1]
+    if last.kind == "other":
+        raise ManifoldParseError(f"unexpected character {last.text!r}", *_Lines(text).at(last.offset))
+    # No token holds "-", so a "--" on the last line starts a comment.
+    comment = text.find("--", text.rfind("\n") + 1)
+    if comment >= 0:
+        tokens[-1] = new(_Token, ("", comment, "eof"))
     return tokens
 
 
@@ -188,9 +216,10 @@ def _lex(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.tokens = _lex(text)
         self.pos = 0
+        self.lines = _Lines(text)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -202,7 +231,7 @@ class _Parser:
         return tok
 
     def fail(self, tok: _Token, message: str) -> None:
-        raise ManifoldParseError(message, tok.line, tok.col)
+        raise ManifoldParseError(message, *self.lines.at(tok.offset))
 
     def expect_punct(self, ch: str) -> _Token:
         tok = self.advance()
@@ -257,7 +286,7 @@ def parse_manifold(text: str) -> ManifoldDesc:
     geometries, dimension mismatches, undeclared vertices or summands,
     disconnected graphs, and sum-statement coverage.
     """
-    p = _Parser(_lex(text))
+    p = _Parser(text)
     p.expect_keyword("dim")
     dim_tok = p.expect_name("a dimension")
     if dim_tok.text not in ("3", "4"):
@@ -317,7 +346,7 @@ def parse_manifold(text: str) -> ManifoldDesc:
             if not vertices:
                 p.fail(name_tok, f"graph {name!r} declares no vertices")
             graph = DecompGraph(
-                name, tuple(vertices), tuple(edges), injective, pos=(name_tok.line, name_tok.col)
+                name, tuple(vertices), tuple(edges), injective, pos=p.lines.at(name_tok.offset)
             )
             if len(graph.tree[0]) != len(vertices) - 1:
                 p.fail(name_tok, f"graph {name!r} is not connected")

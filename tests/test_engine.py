@@ -1,6 +1,7 @@
 """Rule arithmetic, the evaluator, and consequence gating."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import BOUNDS, make_expr
 
-from asdimlab import engine, geometries
+from asdimlab import engine, geometries, groups
 from asdimlab.bounds import (
     FINITE_UNKNOWN,
     UNKNOWN,
@@ -252,6 +253,41 @@ def test_bound_is_deterministic():
         r2 = bound(expr)
         assert serialize_trace(r1.trace) == serialize_trace(r2.trace)
         assert r1.bound == r2.bound
+
+
+def _counted_bound(monkeypatch, expr):
+    """``bound(expr)`` and how often it called apply_rule and lookup_geometry."""
+    counts: Counter = Counter()
+    with monkeypatch.context() as m:
+        for module, name in ((engine, "apply_rule"), (engine, "lookup_geometry"),
+                             (groups, "lookup_geometry")):
+            def counted(*args, _original=getattr(module, name), _key=(module.__name__, name)):
+                counts[_key] += 1
+                return _original(*args)
+
+            m.setattr(module, name, counted)
+        result = bound(expr)
+    return result, counts
+
+
+def test_a_repeated_leaf_is_derived_once_per_bound(monkeypatch):
+    h3, h2c = Lattice("H3", 3, False), Lattice("H2C", 4, True)
+    others = (FreeAbelian(2), h2c, SurfaceGroup("hyperbolic"))
+    once, once_counts = _counted_bound(monkeypatch, Product((h3,) + others))
+    # 500 equal lattices, the distinct leaves between them
+    many, many_counts = _counted_bound(
+        monkeypatch, Product((h3,) * 200 + others[:1] + (h3,) * 300 + others[1:])
+    )
+    # each step of the one-of-each product is derived once, with its checks,
+    # and each distinct lattice looks its geometry up once in each module
+    assert once_counts["asdimlab.engine", "apply_rule"] == len(once.trace.steps)
+    assert once_counts["asdimlab.engine", "lookup_geometry"] == 2
+    assert once_counts["asdimlab.groups", "lookup_geometry"] == 2
+    assert many_counts == once_counts
+    block = len(bound(h3).trace.steps)
+    assert len(many.trace.steps) == len(once.trace.steps) + 499 * block
+    assert replay(many.trace) == many.bound
+    assert replay(parse_trace(serialize_trace(many.trace))) == many.bound
 
 
 def test_inconsistent_bound_raises():

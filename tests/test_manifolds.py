@@ -1,5 +1,7 @@
 """DSL parsing, rendering, and compilation to group expressions."""
 
+import time
+
 import pytest
 
 from conftest import FIXTURES, run_fresh
@@ -85,6 +87,8 @@ def test_negative_fixtures(name):
     [
         ("dim 4;\n-- only a comment", (2, 1)),
         ("dim 4;\npiece a H4;\npiece b H4; -- no sum", (3, 13)),
+        ("dim 4; -- c", (1, 8)),
+        ("dim 4;\npiece a H4;\npiece b H4;\n-- tail", (4, 1)),
     ],
 )
 def test_end_of_input_after_a_trailing_comment_sits_at_the_comment(text, position):
@@ -92,6 +96,47 @@ def test_end_of_input_after_a_trailing_comment_sits_at_the_comment(text, positio
     with pytest.raises(ManifoldParseError) as info:
         parse_manifold(text)
     assert (info.value.line, info.value.col) == position
+
+
+@pytest.mark.parametrize(
+    "text, position, fragment",
+    [
+        # CRLF: "\r" is a blank one column wide, only "\n" breaks a line
+        ("dim 4;\r\npiece a Q;\r\n", (2, 9), "unknown geometry 'Q'"),
+        ("dim 4;\r\npiece a H4\r\n", (3, 1), "expected ';', found end of input"),
+        ("dim 4;\r\n\r\ngraph g {\r\n v a H4;\r\n v b H4;\r\n pi1_injective true;\r\n}\r\n",
+         (3, 7), "graph 'g' is not connected"),
+        # trailing blanks at end of input count as columns
+        ("dim 4;\npiece a H4  \t ", (2, 15), "expected ';', found end of input"),
+        ("   ", (1, 4), "expected 'dim', found end of input"),
+        ("", (1, 1), "expected 'dim', found end of input"),
+        # a lone "-" does not start a comment
+        ("dim 4;\npiece a H4 - ;", (2, 12), "unexpected character '-'"),
+        ("dim 4;\npiece a H4;-", (2, 12), "unexpected character '-'"),
+        # a tab is one column
+        ("dim\t4;\n\tpiece\ta\tQ;", (2, 10), "unknown geometry 'Q'"),
+        # a non-ASCII character is one column, also after one in a comment
+        ("dim 4;\npiece é H4;", (2, 7), "unexpected character 'é'"),
+        ("-- ü\ndim 4;ß", (2, 7), "unexpected character 'ß'"),
+        ("dim 4;\v\npiece a H4;", (1, 7), "unexpected character '\\x0b'"),
+    ],
+)
+def test_lexer_edge_cases_keep_their_positions(text, position, fragment):
+    with pytest.raises(ManifoldParseError) as info:
+        parse_manifold(text)
+    assert (info.value.line, info.value.col) == position
+    assert fragment in info.value.message
+
+
+@pytest.mark.parametrize(
+    "unit", ["   \t  \n-- a comment line here\n", " \r\n", "\t", "--\n"], ids=repr
+)
+def test_a_megabyte_of_blanks_and_comments_is_refused_quickly(unit):
+    text = unit * (1_000_000 // len(unit))
+    start = time.perf_counter()
+    with pytest.raises(ManifoldParseError, match="expected 'dim', found end of input"):
+        parse_manifold(text)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_outside_classified_cases_carries_a_position():

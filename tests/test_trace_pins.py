@@ -21,7 +21,7 @@ from conftest import FIXTURES, make_expr
 
 from asdimlab import engine, manifolds
 from asdimlab.bounds import InconsistentBoundError
-from asdimlab.groups import FreeProduct, Lattice
+from asdimlab.groups import Amalgam, FreeProduct, Lattice
 
 # fixture path -> (digest without aspherical_dim, digest with aspherical_dim=dim)
 TRACE_SHA256 = {
@@ -211,6 +211,15 @@ TRACE_SHA256 = {
 # each named by the free product of the factors up to its own
 WIDE_SUM_SHA256 = "2e5b12d6e14b002ee11348eebf3f10deec4e3e5619b990b26f1f35d3f6ac1a87"
 
+# A 300-vertex injective chain of H4 pieces joined by flat3 edges, as
+# manifolds.compile builds it: 599 leaf occurrences of only two distinct
+# leaves, so every step block after the first two is a copy.
+# (digest without aspherical_dim, digest with aspherical_dim=4)
+CHAIN_SHA256 = (
+    "6ea2c105add868a79060c942d90afb6d795aa1cc3b92ea4c2fd29bfbc9af2158",
+    "5dfa4a119102c32b707e819d6f57bee76b3e140bf879fb675898bfad9cf819ce",
+)
+
 # 400 random expressions of depth 0..4 from make_expr, seed 61803, traces concatenated
 RANDOM_TRACES_SHA256 = "e02ddb4c76db76f01e58375e9376ae952dee56ed8a32a3e8abbfd5e63a514600"
 
@@ -251,3 +260,10 @@ def test_random_expression_trace_bytes_are_pinned():
 def test_wide_free_product_trace_bytes_are_pinned():
     expr = FreeProduct(tuple(Lattice("H4", 4, True) for _ in range(300)))
     assert _digest(expr, None) == WIDE_SUM_SHA256
+
+
+def test_chain_trace_bytes_are_pinned():
+    expr = Lattice("H4", 4, False)
+    for _ in range(299):
+        expr = Amalgam(expr, Lattice("H4", 4, False), Lattice("E3", 3, True))
+    assert (_digest(expr, None), _digest(expr, 4)) == CHAIN_SHA256
