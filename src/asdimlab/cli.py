@@ -153,13 +153,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_catalog(args: argparse.Namespace) -> int:
     from .engine import lattice_bound
-    from .geometries import UnsupportedDimensionError
 
     list_geometries, fact_record = _load("list_geometries", "fact_record")
-    try:
-        facts = list_geometries(args.dim)
-    except UnsupportedDimensionError as exc:
-        return _error(f"error: {exc}")
+    facts = list_geometries(args.dim)
     if args.format == "structured":
         import json
 
@@ -295,10 +291,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code is None:
-            return 0
-        return exc.code if isinstance(exc.code, int) else 2
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on bad arguments
+        return exc.code
     try:
         return args.func(args)
     except ValueError as exc:

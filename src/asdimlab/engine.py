@@ -268,8 +268,9 @@ def apply_rule(
     params: Sequence[int] = (),
 ) -> DimBound:
     """Pure arithmetic of a single rule application.  Every call checks the
-    rule id, input count and params (non-negative ``int``); the arithmetic is
-    then cached by (rule id, inputs, params), and refusals are never cached."""
+    rule id, input count and params (non-negative ``int``); a cache miss checks
+    that the inputs are ``DimBound`` values and runs the arithmetic, cached by
+    (rule id, inputs, params).  Refusals are never cached."""
     rule = RULES.get(rule_id)
     if rule is None:
         raise UnknownRuleError(f"unknown rule {rule_id!r}")
@@ -284,11 +285,17 @@ def apply_rule(
         raise RuleArityError(f"{rule_id} param must be an int, got {ps[0]!r}")
     if nparams and ps[0] < 0:
         raise RuleArityError(f"{rule_id} param must be non-negative, got {ps[0]}")
-    return _arith(rule_id, ins, ps)
+    try:
+        return _arith(rule_id, ins, ps)
+    except TypeError:  # an unhashable input, which the uncached check refuses
+        return _arith.__wrapped__(rule_id, ins, ps)
 
 
 @functools.lru_cache(maxsize=1024)
 def _arith(rule_id: str, ins: tuple[DimBound, ...], ps: tuple[int, ...]) -> DimBound:
+    for b in ins:
+        if type(b) is not DimBound:
+            raise RuleArityError(f"{rule_id} inputs must be DimBound values, got {b!r}")
     return RULES[rule_id].arith(ins, ps)
 
 
@@ -495,15 +502,15 @@ class _Evaluator:
     text and infiniteness on a stack, and derives a node's own from its
     children's entries, so it holds no map keyed by node identity.  A leaf
     is derived, with ``apply_rule``'s checks, at its first occurrence only.
-    ``leaves`` maps its canonical text, which names it losslessly, to the
-    range of that first block of steps, its final step and its
+    ``leaves`` maps the leaf, whose exact-typed fields name it as losslessly
+    as its text, to its first block of steps, final step, text and
     infiniteness; every later occurrence appends a copy of the block, its
     indices and refs shifted to its own position.
     """
 
     def __init__(self) -> None:
         self.steps: list[TraceStep] = []
-        self.leaves: dict[str, tuple[int, int, int, InfinitenessStatus]] = {}
+        self.leaves: dict[GroupExpr, tuple[int, int, int, str, InfinitenessStatus]] = {}
 
     def emit(self, rule_id, subject, refs=(), literals=(), params=()):
         steps = self.steps
@@ -523,10 +530,10 @@ class _Evaluator:
             if derive is None:
                 raise TypeError(f"not a GroupExpr: {node!r}")
             n = len(node.children())
-            head, tail = node.frame()
             if not n:
-                done.append(self._leaf(node, head + tail, derive))
+                done.append(self._leaf(node, derive))
                 continue
+            head, tail = node.frame()
             kids = done[len(done) - n:]
             del done[len(done) - n:]
             subject = head + ",".join([k[1] for k in kids]) + tail
@@ -540,17 +547,18 @@ class _Evaluator:
             done.append((idx, subject, status))
         return done[0]
 
-    def _leaf(self, node: GroupExpr, subject: str, derive) -> tuple[int, str, InfinitenessStatus]:
+    def _leaf(self, node: GroupExpr, derive) -> tuple[int, str, InfinitenessStatus]:
         """A leaf's entry: derived at its first occurrence, copied after."""
         steps = self.steps
         base = len(steps)
-        known = self.leaves.get(subject)
+        known = self.leaves.get(node)
         if known is None:
+            subject = node.frame()[0]
             status = node.infiniteness([])
             final = derive(self, node, subject, ())
-            self.leaves[subject] = base, len(steps), final, status
+            self.leaves[node] = base, len(steps), final, subject, status
             return final, subject, status
-        start, stop, final, status = known
+        start, stop, final, subject, status = known
         shift = base - start
         new = tuple.__new__
         steps.extend([
@@ -623,14 +631,9 @@ _DERIVE = {
     SurfaceGroup: _step(lambda e: ("R-SURFACE", (), (0 if e.kind == "spherical" else 2,))),
     Lattice: _Evaluator._lattice,
     ProperActionOn: _step(lambda e: ("R-PROPER-ACTION", (e.space_bound,), ())),
-    HyperbolicGroup: _step(
-        lambda e: ("R-HYP", () if e.witness_bound is None else (e.witness_bound,), ())
-    ),
-    RelHyperbolic: _step(
-        lambda e: ("R-RELHYP", (), (0,))
-        if e.ambient_bound is None
-        else ("R-RELHYP", (e.ambient_bound,), (1,))
-    ),
+    HyperbolicGroup: _step(lambda e: ("R-HYP", (e.witness_bound,) if e.witness_bound else (), ())),
+    RelHyperbolic: _step(lambda e: ("R-RELHYP", (e.ambient_bound,), (1,))
+                         if e.ambient_bound else ("R-RELHYP", (), (0,))),
     Product: _step(lambda e: ("R-PRODUCT", (), ())),
     FreeProduct: _Evaluator._free_product,
     Amalgam: _step(lambda e: ("R-AMALGAM", (), ())),

@@ -8,23 +8,26 @@ actions on universal covers, plus three "evidence" leaves that carry a
 bound rather than structure (a proper action on a space of known
 asymptotic dimension, hyperbolicity, relative hyperbolicity).
 
-Each variant class holds its own canonical text form, rebuild step and
-infiniteness.  The module provides the canonical text form used in proof
-traces and fixtures (lossless round-trip via ``to_canonical`` and the
-iterative reader ``parse_canonical``), structural normalization, and the
-conservative three-valued infiniteness predicate.  All walk expressions with
-an explicit stack, so nesting depth is limited by memory, not by the
+Each variant class holds its rebuild step and infiniteness, and a leaf the
+kinds of its fields, which one table checks, writes and reads.  The module
+provides the canonical text form used in proof traces and fixtures
+(lossless round-trip via ``to_canonical`` and the iterative reader
+``parse_canonical``), structural normalization, and the conservative
+three-valued infiniteness predicate.  All walk expressions with an
+explicit stack, so nesting depth is limited by memory, not by the
 interpreter's stack.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from collections.abc import Callable, Container, Iterator, Sequence
 from dataclasses import dataclass
 from operator import methodcaller
+from typing import Any, NamedTuple
 
-from .bounds import DimBound, InconsistentBoundError, natural_int
+from .bounds import DimBound, ExtendedDim, InconsistentBoundError, natural_int
 from .geometries import UnknownGeometryError, lookup_geometry
 
 SURFACE_KINDS = ("spherical", "flat", "hyperbolic")
@@ -43,18 +46,43 @@ class GroupExpr:
 
     The defaults here are a leaf's.  ``frame()`` gives the text around the
     children in the canonical form: ``head + ",".join(their forms) + tail``.
+    ``_kinds`` names the ``_KINDS`` row that checks, writes and reads each of
+    the last ``len(_kinds)`` fields; one whose default is None may be None.
     """
 
     __slots__ = ()
+    _kinds = ()
+
+    def __post_init__(self) -> None:
+        for name, kind, may_be_none in self._fields():
+            value = getattr(self, name)
+            if not (kind.accepts(value) or may_be_none and value is None):
+                raise ValueError(f"{type(self).__name__}.{name} must be {kind.what}, got {value!r}")
+
+    @classmethod
+    @functools.cache
+    def _fields(cls) -> list[tuple[str, _Kind, bool]]:
+        """(name, kind, whether it may be None) of each field that has a kind."""
+        names = cls.__match_args__[len(cls.__match_args__) - len(cls._kinds):]
+        return [(name, _KINDS[kind], cls.__dataclass_fields__[name].default is None)
+                for name, kind in zip(names, cls._kinds)]
 
     def children(self) -> tuple[GroupExpr, ...]:
         """Direct subexpressions, left to right; leaves have none."""
         return ()
 
+    def frame(self) -> tuple[str, str]:
+        fields = [kind.write(v) for name, kind, _ in self._fields()
+                  if (v := getattr(self, name)) is not None]
+        return type(self).__name__ + (f"({','.join(fields)})" if fields else ""), ""
+
     @classmethod
     def read(cls, sc: _Scanner) -> tuple:
         """A leaf's constructor arguments, read from the text after its name."""
-        return ()
+        fields = cls._fields()
+        if not fields or sc.peek() != "(" and all(may_be_none for _, _, may_be_none in fields):
+            return ()
+        return sc.args(*[kind.read for _, kind, _ in fields])
 
     def infiniteness(self, parts: list[InfinitenessStatus]) -> InfinitenessStatus:
         """What this node decides, given its children's statuses in order."""
@@ -84,7 +112,7 @@ class _Composite(GroupExpr):
         return cls(*kids)
 
     def normalized(self, kids: list[GroupExpr]) -> GroupExpr:
-        return self.rebuild(kids)
+        return self.rebuild(kids, *[getattr(self, name) for name, _, _ in self._fields()])
 
 
 class _Parts(_Composite):
@@ -95,13 +123,14 @@ class _Parts(_Composite):
         object.__setattr__(self, name, tuple(getattr(self, name)))
         if not getattr(self, name):
             raise ValueError(f"{type(self).__name__}.{name} must be nonempty")
+        super().__post_init__()
 
     def children(self) -> tuple[GroupExpr, ...]:
         return getattr(self, self.__match_args__[0])
 
     @classmethod
-    def rebuild(cls, kids: Sequence[GroupExpr]) -> GroupExpr:
-        return cls(kids)
+    def rebuild(cls, kids: Sequence[GroupExpr], *fields: object) -> GroupExpr:
+        return cls(kids, *fields)
 
 
 class _Flattening(_Parts):
@@ -138,9 +167,6 @@ class _Flattening(_Parts):
 
 @dataclass(frozen=True)
 class Trivial(GroupExpr):
-    def frame(self) -> tuple[str, str]:
-        return "Trivial", ""
-
     def infiniteness(self, parts: list[InfinitenessStatus]) -> InfinitenessStatus:
         return InfinitenessStatus.FINITE
 
@@ -148,17 +174,7 @@ class Trivial(GroupExpr):
 @dataclass(frozen=True)
 class Finite(GroupExpr):
     order: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.order is not None and self.order < 1:
-            raise ValueError(f"finite group order must be positive, got {self.order}")
-
-    def frame(self) -> tuple[str, str]:
-        return ("Finite" if self.order is None else f"Finite({self.order})"), ""
-
-    @classmethod
-    def read(cls, sc: _Scanner) -> tuple:
-        return sc.args(sc.integer) if sc.peek() == "(" else ()
+    _kinds = ("positive",)
 
     def infiniteness(self, parts: list[InfinitenessStatus]) -> InfinitenessStatus:
         return InfinitenessStatus.FINITE
@@ -167,17 +183,7 @@ class Finite(GroupExpr):
 @dataclass(frozen=True)
 class FreeAbelian(GroupExpr):
     rank: int
-
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError(f"negative rank {self.rank}")
-
-    def frame(self) -> tuple[str, str]:
-        return f"FreeAbelian({self.rank})", ""
-
-    @classmethod
-    def read(cls, sc: _Scanner) -> tuple:
-        return sc.args(sc.integer)
+    _kinds = ("natural",)
 
     def infiniteness(self, parts: list[InfinitenessStatus]) -> InfinitenessStatus:
         return InfinitenessStatus.INFINITE if self.rank >= 1 else InfinitenessStatus.FINITE
@@ -186,17 +192,7 @@ class FreeAbelian(GroupExpr):
 @dataclass(frozen=True)
 class SurfaceGroup(GroupExpr):
     kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in SURFACE_KINDS:
-            raise ValueError(f"surface kind must be one of {SURFACE_KINDS}, got {self.kind!r}")
-
-    def frame(self) -> tuple[str, str]:
-        return f"SurfaceGroup({self.kind})", ""
-
-    @classmethod
-    def read(cls, sc: _Scanner) -> tuple:
-        return sc.args(sc.ident)
+    _kinds = ("surface",)
 
     def infiniteness(self, parts: list[InfinitenessStatus]) -> InfinitenessStatus:
         if self.kind == "spherical":
@@ -209,23 +205,7 @@ class Lattice(GroupExpr):
     geometry: str
     dim: int
     cocompact: bool
-
-    def __post_init__(self) -> None:
-        if not self.geometry or not set(self.geometry) <= _NAME_CHARS:
-            raise ValueError(f"bad geometry identifier {self.geometry!r}")
-        if self.dim < 1:
-            raise ValueError(f"bad geometry dimension {self.dim}")
-
-    def frame(self) -> tuple[str, str]:
-        cc = "cocompact" if self.cocompact else "cusped"
-        return f"Lattice({self.geometry},{self.dim},{cc})", ""
-
-    @classmethod
-    def read(cls, sc: _Scanner) -> tuple:
-        geometry, dim, cc = sc.args(sc.ident, sc.integer, sc.ident)
-        if cc not in ("cocompact", "cusped"):
-            raise sc.error(f"expected cocompact or cusped, found {cc!r}")
-        return geometry, dim, cc == "cocompact"
+    _kinds = ("name", "positive", "cocompact")
 
     def infiniteness(self, parts: list[InfinitenessStatus]) -> InfinitenessStatus:
         try:
@@ -312,45 +292,25 @@ class ProperActionOn(GroupExpr):
 
     space_bound: DimBound
     label: str
-
-    def frame(self) -> tuple[str, str]:
-        return f'ProperActionOn({self.space_bound},"{_escape(self.label)}")', ""
-
-    @classmethod
-    def read(cls, sc: _Scanner) -> tuple:
-        return sc.args(sc.bound, sc.string)
+    _kinds = ("bound", "label")
 
 
 @dataclass(frozen=True)
 class HyperbolicGroup(GroupExpr):
     witness_bound: DimBound | None = None
-
-    def frame(self) -> tuple[str, str]:
-        if self.witness_bound is None:
-            return "HyperbolicGroup", ""
-        return f"HyperbolicGroup({self.witness_bound})", ""
-
-    @classmethod
-    def read(cls, sc: _Scanner) -> tuple:
-        return sc.args(sc.bound) if sc.peek() == "(" else ()
+    _kinds = ("bound",)
 
 
 @dataclass(frozen=True)
 class RelHyperbolic(_Parts):
     peripherals: tuple[GroupExpr, ...]
     ambient_bound: DimBound | None = None
+    _kinds = ("bound",)
 
     def frame(self) -> tuple[str, str]:
         if self.ambient_bound is None:
             return "RelHyperbolic(", ")"
         return "RelHyperbolic(", f",ambient={self.ambient_bound})"
-
-    @classmethod
-    def rebuild(cls, kids: Sequence[GroupExpr], ambient_bound=None) -> GroupExpr:
-        return cls(kids, ambient_bound)
-
-    def normalized(self, kids: list[GroupExpr]) -> GroupExpr:
-        return self.rebuild(kids, self.ambient_bound)
 
 
 _VARIANTS: dict[str, type[GroupExpr]] = {cls.__name__: cls for cls in (
@@ -418,12 +378,8 @@ def normalize(expr: GroupExpr) -> GroupExpr:
 # Canonical text form
 
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\t": "\\t", "\n": "\\n"}
-_UNESCAPES = {v[1]: k for k, v in _ESCAPES.items()}
-
-
-def _escape(label: str) -> str:
-    return label.translate(str.maketrans(_ESCAPES))
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\t": "\\t", "\n": "\\n"})
+_UNESCAPES = {v[1]: chr(k) for k, v in _ESCAPES.items()}
 
 
 def to_canonical(expr: GroupExpr) -> str:
@@ -503,26 +459,32 @@ class _Scanner:
         self.pos += 1
         return "".join(out)
 
+    def cocompact(self) -> bool:
+        word = self.ident()
+        if word not in ("cocompact", "cusped"):
+            raise self.error(f"expected cocompact or cusped, found {word!r}")
+        return word == "cocompact"
+
     def bound(self) -> DimBound:
         lower = self.integer()
         self.expect(".")
         self.expect(".")
         if self.peek() == "?":
             self.pos += 1
-            token = f"{lower}..?"
+            word = "?"
         else:
-            token = f"{lower}..{self.ident()}"
+            word = self.ident()
         try:
-            return DimBound.parse(token)
+            return DimBound(lower, ExtendedDim.parse(word))
         except (InconsistentBoundError, ValueError) as exc:
             raise self.error(str(exc)) from exc
 
-    def args(self, *readers: Callable[[], object]) -> tuple:
+    def args(self, *readers: Callable[[_Scanner], object]) -> tuple:
         """``(a,b,...)``, each item read by the reader in its place."""
         values = []
         for i, read in enumerate(readers):
             self.expect("," if i else "(")
-            values.append(read())
+            values.append(read(self))
         self.expect(")")
         return tuple(values)
 
@@ -532,6 +494,31 @@ class _Scanner:
             return make(*args)
         except ValueError as exc:
             raise self.error(str(exc), offset) from exc
+
+
+class _Kind(NamedTuple):
+    """A kind of field: its reader, its writer, and the test a value must pass, also in words."""
+
+    read: Callable[[_Scanner], object]
+    write: Callable[[Any], str]
+    accepts: Callable[[object], bool]
+    what: str
+
+
+_KINDS = {
+    "natural": _Kind(_Scanner.integer, str, lambda v: type(v) is int and v >= 0, "an int >= 0"),
+    "positive": _Kind(_Scanner.integer, str, lambda v: type(v) is int and v >= 1, "an int >= 1"),
+    "name": _Kind(_Scanner.ident, str,
+                  lambda v: type(v) is str and v != "" and _NAME_CHARS.issuperset(v),
+                  "a nonempty str of ASCII letters, digits, '_' and '~'"),
+    "surface": _Kind(_Scanner.ident, str, lambda v: type(v) is str and v in SURFACE_KINDS,
+                     f"one of {SURFACE_KINDS}"),
+    "cocompact": _Kind(_Scanner.cocompact, lambda v: "cocompact" if v else "cusped",
+                       lambda v: type(v) is bool, "a bool"),
+    "bound": _Kind(_Scanner.bound, str, lambda v: type(v) is DimBound, "a DimBound"),
+    "label": _Kind(_Scanner.string, lambda v: f'"{v.translate(_ESCAPES)}"',
+                   lambda v: type(v) is str, "a str"),
+}
 
 
 def parse_canonical(text: str) -> GroupExpr:

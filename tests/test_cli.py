@@ -378,6 +378,23 @@ def test_cover_verify_refuses_a_huge_label_radius(tmp_path, capsys):
     assert err == f"{target}:2: error: radius must be positive, got 0\n"
 
 
+@pytest.mark.parametrize(
+    "label",
+    [
+        "group=FreeAbelian(1) group=FreeAbelian(1) radius=2",
+        "group=FreeAbelian(1) radius",
+        "group=FreeAbelian(1)",
+    ],
+    ids=["repeated-key", "no-equals", "no-radius"],
+)
+def test_cover_verify_refuses_a_bad_label(tmp_path, capsys, label):
+    target = tmp_path / "w.txt"
+    target.write_text(f"coarse-witness v1\n{label}\nD 1\nB 0\n0:0 0\n")
+    code, out, err = run(capsys, "cover", "verify", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"{target}:2: error: bad space label {label!r}\n"
+
+
 def test_cover_verify_checks_a_label_past_the_old_matrix_limit(tmp_path, capsys):
     # 118,097 points once asked for a 56 GB matrix and were refused; now the
     # witness is read and its one subset leaves every other point uncovered.

@@ -349,6 +349,43 @@ def test_a_refused_application_is_refused_every_time():
             apply_rule("R-SURFACE", [], [1])
 
 
+@pytest.mark.parametrize(
+    "rule_id, inputs",
+    [
+        ("R-HYP", (3,)),
+        ("R-PRODUCT", (DimBound.exact(1), 2)),
+        ("R-UNION", ("0..1",)),
+        ("R-COMBINE", (DimBound.exact(1), finite(1))),
+        ("R-PROPER-ACTION", ([0, 1],)),
+    ],
+    ids=["int", "int-after-a-bound", "str", "extended-dim", "unhashable"],
+)
+def test_an_input_that_is_not_a_bound_is_refused(rule_id, inputs):
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(RuleArityError, match=rf"^{rule_id} inputs must be DimBound values"):
+            apply_rule(rule_id, inputs)
+    step = engine.TraceStep(0, rule_id, "x", DimBound.exact(1), literals=tuple(inputs))
+    with pytest.raises(MalformedTraceError, match=r"^step 0 does not replay: "):
+        replay(engine.ProofTrace((step,)))
+
+
+def test_a_leaf_is_written_once_per_bound(monkeypatch):
+    h3 = Lattice("H3", 3, False)
+    block = len(bound(h3).trace.steps)
+    written = Counter()
+    original = groups.GroupExpr.frame
+
+    def counted(self):
+        written[self] += 1
+        return original(self)
+
+    monkeypatch.setattr(groups.GroupExpr, "frame", counted)
+    result = bound(Product((h3,) * 300 + (FreeAbelian(2), Lattice("H3", 3, False), FreeAbelian(2))))
+    # equal leaves share one block of steps, each occurrence named alike
+    assert written == {h3: 1, FreeAbelian(2): 1}
+    assert sum(step.subject == "Lattice(H3,3,cusped)" for step in result.trace.steps) == 301 * block
+
+
 @pytest.mark.parametrize("param", [True, 2.0, "2"], ids=["bool", "float", "str"])
 def test_a_param_that_is_not_an_int_is_refused(param):
     assert apply_rule("R-EUCLID", [], [1]) == DimBound.exact(1)

@@ -128,6 +128,15 @@ def test_lexer_edge_cases_keep_their_positions(text, position, fragment):
     assert fragment in info.value.message
 
 
+def test_an_error_before_a_graph_is_placed_after_it():
+    # the graph's position is taken first, so the sum's error rewinds the line count
+    text = "dim 3;\nsum g # x;\ngraph g {\n  v p H3;\n  pi1_injective true;\n}\n"
+    with pytest.raises(ManifoldParseError) as info:
+        parse_manifold(text)
+    assert (info.value.line, info.value.col) == (2, 9)
+    assert info.value.message == "sum references undeclared summand 'x'"
+
+
 @pytest.mark.parametrize(
     "unit", ["   \t  \n-- a comment line here\n", " \r\n", "\t", "--\n"], ids=repr
 )
