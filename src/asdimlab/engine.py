@@ -268,9 +268,8 @@ def apply_rule(
     params: Sequence[int] = (),
 ) -> DimBound:
     """Pure arithmetic of a single rule application.  Every call checks the
-    rule id, input count and params (non-negative ``int``); a cache miss checks
-    that the inputs are ``DimBound`` values and runs the arithmetic, cached by
-    (rule id, inputs, params).  Refusals are never cached."""
+    rule id, input count, inputs (``DimBound``) and params (non-negative ``int``);
+    the arithmetic is then cached by (rule id, inputs, params), never a refusal."""
     rule = RULES.get(rule_id)
     if rule is None:
         raise UnknownRuleError(f"unknown rule {rule_id!r}")
@@ -285,17 +284,14 @@ def apply_rule(
         raise RuleArityError(f"{rule_id} param must be an int, got {ps[0]!r}")
     if nparams and ps[0] < 0:
         raise RuleArityError(f"{rule_id} param must be non-negative, got {ps[0]}")
-    try:
-        return _arith(rule_id, ins, ps)
-    except TypeError:  # an unhashable input, which the uncached check refuses
-        return _arith.__wrapped__(rule_id, ins, ps)
+    for b in ins:
+        if type(b) is not DimBound:
+            raise RuleArityError(f"{rule_id} inputs must be DimBound values, got {b!r}")
+    return _arith(rule_id, ins, ps)
 
 
 @functools.lru_cache(maxsize=1024)
 def _arith(rule_id: str, ins: tuple[DimBound, ...], ps: tuple[int, ...]) -> DimBound:
-    for b in ins:
-        if type(b) is not DimBound:
-            raise RuleArityError(f"{rule_id} inputs must be DimBound values, got {b!r}")
     return RULES[rule_id].arith(ins, ps)
 
 
@@ -631,9 +627,14 @@ _DERIVE = {
     SurfaceGroup: _step(lambda e: ("R-SURFACE", (), (0 if e.kind == "spherical" else 2,))),
     Lattice: _Evaluator._lattice,
     ProperActionOn: _step(lambda e: ("R-PROPER-ACTION", (e.space_bound,), ())),
-    HyperbolicGroup: _step(lambda e: ("R-HYP", (e.witness_bound,) if e.witness_bound else (), ())),
-    RelHyperbolic: _step(lambda e: ("R-RELHYP", (e.ambient_bound,), (1,))
-                         if e.ambient_bound else ("R-RELHYP", (), (0,))),
+    HyperbolicGroup: _step(
+        lambda e: ("R-HYP", () if e.witness_bound is None else (e.witness_bound,), ())
+    ),
+    RelHyperbolic: _step(
+        lambda e: ("R-RELHYP", (), (0,))
+        if e.ambient_bound is None
+        else ("R-RELHYP", (e.ambient_bound,), (1,))
+    ),
     Product: _step(lambda e: ("R-PRODUCT", (), ())),
     FreeProduct: _Evaluator._free_product,
     Amalgam: _step(lambda e: ("R-AMALGAM", (), ())),

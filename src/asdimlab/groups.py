@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import sys
 from collections.abc import Callable, Container, Iterator, Sequence
 from dataclasses import dataclass
 from operator import methodcaller
@@ -57,7 +58,8 @@ class GroupExpr:
         for name, kind, may_be_none in self._fields():
             value = getattr(self, name)
             if not (kind.accepts(value) or may_be_none and value is None):
-                raise ValueError(f"{type(self).__name__}.{name} must be {kind.what}, got {value!r}")
+                got = repr(value) if _writable(value) else "an int too long to write"
+                raise ValueError(f"{type(self).__name__}.{name} must be {kind.what}, got {got}")
 
     @classmethod
     @functools.cache
@@ -82,7 +84,12 @@ class GroupExpr:
         fields = cls._fields()
         if not fields or sc.peek() != "(" and all(may_be_none for _, _, may_be_none in fields):
             return ()
-        return sc.args(*[kind.read for _, kind, _ in fields])
+        values = []
+        for i, (_, kind, _) in enumerate(fields):
+            sc.expect("," if i else "(")
+            values.append(kind.read(sc))
+        sc.expect(")")
+        return tuple(values)
 
     def infiniteness(self, parts: list[InfinitenessStatus]) -> InfinitenessStatus:
         """What this node decides, given its children's statuses in order."""
@@ -310,7 +317,7 @@ class RelHyperbolic(_Parts):
     def frame(self) -> tuple[str, str]:
         if self.ambient_bound is None:
             return "RelHyperbolic(", ")"
-        return "RelHyperbolic(", f",ambient={self.ambient_bound})"
+        return "RelHyperbolic(", f",ambient={_KINDS['bound'].write(self.ambient_bound)})"
 
 
 _VARIANTS: dict[str, type[GroupExpr]] = {cls.__name__: cls for cls in (
@@ -479,15 +486,6 @@ class _Scanner:
         except (InconsistentBoundError, ValueError) as exc:
             raise self.error(str(exc)) from exc
 
-    def args(self, *readers: Callable[[_Scanner], object]) -> tuple:
-        """``(a,b,...)``, each item read by the reader in its place."""
-        values = []
-        for i, read in enumerate(readers):
-            self.expect("," if i else "(")
-            values.append(read(self))
-        self.expect(")")
-        return tuple(values)
-
     def made(self, offset: int, make: Callable[..., GroupExpr], *args: object) -> GroupExpr:
         """``make(*args)``, with a constructor's ValueError reported at ``offset``."""
         try:
@@ -505,9 +503,19 @@ class _Kind(NamedTuple):
     what: str
 
 
+def _writable(v: object) -> bool:
+    """False for an int with more digits than the interpreter writes as text
+    (``sys.get_int_max_str_digits()``, where 0 means no limit); an int below
+    8**limit is settled by its bit length, without computing 10**limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    return not (isinstance(v, int) and limit and v.bit_length() > 3 * limit and abs(v) >= 10**limit)
+
+
 _KINDS = {
-    "natural": _Kind(_Scanner.integer, str, lambda v: type(v) is int and v >= 0, "an int >= 0"),
-    "positive": _Kind(_Scanner.integer, str, lambda v: type(v) is int and v >= 1, "an int >= 1"),
+    "natural": _Kind(_Scanner.integer, str, lambda v: type(v) is int and v >= 0 and _writable(v),
+                     "an int >= 0"),
+    "positive": _Kind(_Scanner.integer, str, lambda v: type(v) is int and v >= 1 and _writable(v),
+                      "an int >= 1"),
     "name": _Kind(_Scanner.ident, str,
                   lambda v: type(v) is str and v != "" and _NAME_CHARS.issuperset(v),
                   "a nonempty str of ASCII letters, digits, '_' and '~'"),
@@ -550,7 +558,7 @@ def parse_canonical(text: str) -> GroupExpr:
                 if not (cls is RelHyperbolic and text.startswith("ambient=", sc.pos)):
                     break
                 sc.pos += len("ambient=")
-                extra = (sc.bound(),)
+                extra = (_KINDS["bound"].read(sc),)
             sc.expect(")")
             open_.pop()
             node = sc.made(start, cls.rebuild, kids, *extra)

@@ -1,6 +1,7 @@
 """Expression tree construction, normalization, infiniteness, canonical form."""
 
 import random
+import sys
 import time
 
 import pytest
@@ -320,3 +321,16 @@ def test_a_wrong_typed_field_is_refused_at_construction(make, args, message):
     with pytest.raises(ValueError) as info:
         make(*args)
     assert str(info.value) == message
+
+
+def test_an_int_too_long_to_write_is_refused_at_construction():
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        pytest.skip("this interpreter writes ints of any length")
+    for make, args in [(FreeAbelian, (10**limit,)), (Finite, (10**limit,)),
+                       (Lattice, ("H4", 10**limit, True))]:
+        message = r"\.\w+ must be an int >= [01], got an int too long to write$"
+        with pytest.raises(ValueError, match=message):
+            make(*args)
+    longest = FreeAbelian(10**limit - 1)  # exactly ``limit`` digits
+    assert parse_canonical(to_canonical(longest)) == longest
