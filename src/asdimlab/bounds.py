@@ -9,12 +9,19 @@ refuses to exist when the two contradict each other.
 Both are hash-consed (Filliâtre & Conchon, "Type-safe modular hash-consing",
 2006): each distinct value is validated and built once, with its hash and text,
 then shared through a weak-value table.
+
+The other immutable values of the package (group expressions, manifold
+descriptions, catalog facts, rules and traces) are declared with ``record``,
+which keeps their dataclass fields but generates no methods: ``_Record``
+supplies them once for every such class.
 """
 
 from __future__ import annotations
 
 import functools
 import weakref
+from dataclasses import MISSING, FrozenInstanceError, dataclass
+from operator import attrgetter
 
 _NUMBER = 0
 _FINITE_UNKNOWN = 1
@@ -53,10 +60,10 @@ class _Shared:
         return cls._table.setdefault(key, self)
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -75,6 +82,85 @@ class _Shared:
 
     def __reduce__(self):
         return type(self), self._key
+
+
+class _Record:
+    """An immutable value whose class declares its fields through ``record``.
+
+    Construction, equality, hashing, ``repr``, copying and pickling behave as
+    a frozen dataclass's, from what ``record`` sets on the class once:
+    ``_setters`` writes each init field's slot, in ``__match_args__`` order;
+    ``_defaults`` maps init fields to their defaults; ``_post_init`` says
+    whether ``__init__`` ends with ``__post_init__()``, which sets any field
+    declared with ``init=False``; ``_key`` gives the compared fields' values
+    as one tuple; ``_shown`` names the fields ``repr`` shows.
+    """
+
+    __slots__ = ()
+    __setattr__ = _Shared.__setattr__
+    __delattr__ = _Shared.__delattr__
+
+    def __init__(self, *args, **kwargs) -> None:
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        i = 0  # an index, not zip: this runs for every record made, and zip costs more
+        for set_field in setters:
+            set_field(self, args[i])
+            i += 1
+        if self._post_init:
+            self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The init fields' values, in order, from keyword and left-out arguments."""
+        names, defaults = self.__match_args__, self._defaults
+        rest = names[len(args):]
+        if len(args) > len(names) or not kwargs.keys() <= {*rest} <= kwargs.keys() | defaults.keys():
+            raise TypeError(f"{type(self).__name__}({', '.join(names)}) called with"
+                            f" {len(args)} positional arguments and the keywords {sorted(kwargs)}")
+        return [*args, *[kwargs[n] if n in kwargs else defaults[n] for n in rest]]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._shown])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
+
+
+def record(cls: type) -> type:
+    """Declare the annotated fields of ``cls``, a ``_Record``, as a dataclass
+    does, but in slots and with no generated method, and set what its methods
+    read.  A default is a plain value, not a factory.  The class is rebuilt, so
+    its methods must not call ``super()`` without arguments."""
+    if not cls.__doc__:  # dataclass would otherwise write one from inspect.signature
+        cls.__doc__ = f"{cls.__name__}({', '.join(cls.__annotations__)})"
+    cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
+    fields = cls.__dataclass_fields__.values()
+    cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__match_args__])
+    cls._post_init = hasattr(cls, "__post_init__")
+    cls._defaults = {f.name: f.default for f in fields if f.init and f.default is not MISSING}
+    cls._key = _values(tuple([f.name for f in fields if f.compare]))
+    cls._shown = tuple([f.name for f in fields if f.repr])
+    return cls
+
+
+def _values(names: tuple[str, ...]):
+    """A function from a record to the tuple of these fields' values."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(*names)
+        return staticmethod(lambda self: (get(self),))
+    return staticmethod(lambda self: ())
 
 
 @functools.total_ordering

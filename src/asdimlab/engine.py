@@ -19,7 +19,7 @@ emits, which is what ``replay`` checks.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import field
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Sequence
 
@@ -28,8 +28,10 @@ from .bounds import (
     UNKNOWN,
     DimBound,
     InconsistentBoundError,
+    _Record,
     finite,
     natural_int,
+    record,
 )
 from .geometries import GeometryFact, factor_facts, lookup_geometry
 from .groups import (
@@ -69,8 +71,8 @@ class MalformedTraceError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Rule:
+@record
+class Rule(_Record):
     """One inequality rule, stated once: its id, what it says, its source,
     its input shape, and the two facts ``apply_rule`` runs on.
 
@@ -317,13 +319,13 @@ class TraceStep(NamedTuple):
     params: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+@record
+class ProofTrace(_Record):
     steps: tuple[TraceStep, ...]
 
 
-@dataclass(frozen=True)
-class BoundResult:
+@record
+class BoundResult(_Record):
     bound: DimBound
     trace: ProofTrace
 
@@ -349,7 +351,8 @@ def replay(trace: ProofTrace) -> DimBound:
             recomputed = apply_rule(step.rule_id, ins, step.params)
         except (UnknownRuleError, RuleArityError, InconsistentBoundError, ValueError) as exc:
             raise MalformedTraceError(f"step {pos} does not replay: {exc}") from exc
-        if recomputed != step.produced:
+        # bounds are shared, so identity settles nearly every step without __eq__
+        if recomputed is not step.produced and recomputed != step.produced:
             raise MalformedTraceError(
                 f"step {pos} records {step.produced}, arithmetic gives {recomputed}"
             )
@@ -435,8 +438,8 @@ def parse_trace(text: str) -> ProofTrace:
 # Consequences
 
 
-@dataclass(frozen=True)
-class Consequence:
+@record
+class Consequence(_Record):
     kind: str
     condition: str
     citation: str

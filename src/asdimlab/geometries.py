@@ -39,9 +39,7 @@ Conventions baked into the data:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .bounds import DimBound
+from .bounds import DimBound, _Record, record
 
 GEOMETRY_CLASSES = (
     "spherical-type",
@@ -63,8 +61,8 @@ class UnsupportedDimensionError(Exception):
     """list_geometries called outside dimensions {2, 3, 4}."""
 
 
-@dataclass(frozen=True)
-class GeometryFact:
+@record
+class GeometryFact(_Record):
     name: str
     dim: int
     klass: str

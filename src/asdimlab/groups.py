@@ -24,11 +24,10 @@ import enum
 import functools
 import sys
 from collections.abc import Callable, Container, Iterator, Sequence
-from dataclasses import dataclass
 from operator import methodcaller
 from typing import Any, NamedTuple
 
-from .bounds import DimBound, ExtendedDim, InconsistentBoundError, natural_int
+from .bounds import DimBound, ExtendedDim, InconsistentBoundError, _Record, natural_int, record
 from .geometries import UnknownGeometryError, lookup_geometry
 
 SURFACE_KINDS = ("spherical", "flat", "hyperbolic")
@@ -42,8 +41,8 @@ class InfinitenessStatus(enum.Enum):
     UNDETERMINED = "Undetermined"
 
 
-class GroupExpr:
-    """Base class for all expression variants. Variants are frozen dataclasses.
+class GroupExpr(_Record):
+    """Base class for all expression variants, each a ``record``.
 
     The defaults here are a leaf's.  ``frame()`` gives the text around the
     children in the canonical form: ``head + ",".join(their forms) + tail``.
@@ -107,6 +106,8 @@ class GroupExpr:
 class _Composite(GroupExpr):
     """A variant with children, written ``Name(child,...)``."""
 
+    __slots__ = ()
+
     def frame(self) -> tuple[str, str]:
         return type(self).__name__ + "(", ")"
 
@@ -124,6 +125,8 @@ class _Composite(GroupExpr):
 
 class _Parts(_Composite):
     """A composite whose first field is a nonempty tuple of parts, its children."""
+
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         name = self.__match_args__[0]
@@ -145,6 +148,7 @@ class _Flattening(_Parts):
     variant, drops Trivial parts where the trivial group is the unit, and lets
     a single remaining part stand for the whole."""
 
+    __slots__ = ()
     _trivial_is_unit = True
 
     def normal_parts(self) -> list[GroupExpr]:
@@ -172,13 +176,13 @@ class _Flattening(_Parts):
         return self.rebuild(flat) if flat else Trivial()
 
 
-@dataclass(frozen=True)
+@record
 class Trivial(GroupExpr):
     def infiniteness(self, parts: list[InfinitenessStatus]) -> InfinitenessStatus:
         return InfinitenessStatus.FINITE
 
 
-@dataclass(frozen=True)
+@record
 class Finite(GroupExpr):
     order: int | None = None
     _kinds = ("positive",)
@@ -187,7 +191,7 @@ class Finite(GroupExpr):
         return InfinitenessStatus.FINITE
 
 
-@dataclass(frozen=True)
+@record
 class FreeAbelian(GroupExpr):
     rank: int
     _kinds = ("natural",)
@@ -196,7 +200,7 @@ class FreeAbelian(GroupExpr):
         return InfinitenessStatus.INFINITE if self.rank >= 1 else InfinitenessStatus.FINITE
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceGroup(GroupExpr):
     kind: str
     _kinds = ("surface",)
@@ -207,7 +211,7 @@ class SurfaceGroup(GroupExpr):
         return InfinitenessStatus.INFINITE
 
 
-@dataclass(frozen=True)
+@record
 class Lattice(GroupExpr):
     geometry: str
     dim: int
@@ -228,21 +232,21 @@ def _infinite_if_a_part_is(self, parts: list[InfinitenessStatus]) -> Infinitenes
     return InfinitenessStatus.UNDETERMINED
 
 
-@dataclass(frozen=True)
+@record
 class Product(_Flattening):
     factors: tuple[GroupExpr, ...]
 
     infiniteness = _infinite_if_a_part_is
 
 
-@dataclass(frozen=True)
+@record
 class FreeProduct(_Flattening):
     factors: tuple[GroupExpr, ...]
 
     infiniteness = _infinite_if_a_part_is
 
 
-@dataclass(frozen=True)
+@record
 class Amalgam(_Composite):
     left: GroupExpr
     right: GroupExpr
@@ -254,7 +258,7 @@ class Amalgam(_Composite):
         return (self.left, self.right, self.edge)
 
 
-@dataclass(frozen=True)
+@record
 class HNN(_Composite):
     base: GroupExpr
     edge: GroupExpr
@@ -263,7 +267,7 @@ class HNN(_Composite):
         return (self.base, self.edge)
 
 
-@dataclass(frozen=True)
+@record
 class Extension(_Composite):
     kernel: GroupExpr
     quotient: GroupExpr
@@ -274,14 +278,14 @@ class Extension(_Composite):
         return (self.kernel, self.quotient)
 
 
-@dataclass(frozen=True)
+@record
 class Union(_Flattening):
     parts: tuple[GroupExpr, ...]
 
     _trivial_is_unit = False
 
 
-@dataclass(frozen=True)
+@record
 class ActsOnCover(_Composite):
     """A group acting properly and isometrically on the universal cover of a
     space whose fundamental group is ``space``."""
@@ -292,7 +296,7 @@ class ActsOnCover(_Composite):
         return (self.space,)
 
 
-@dataclass(frozen=True)
+@record
 class ProperActionOn(GroupExpr):
     """A group acting properly and isometrically on a proper metric space
     whose asymptotic dimension is already bounded."""
@@ -302,13 +306,13 @@ class ProperActionOn(GroupExpr):
     _kinds = ("bound", "label")
 
 
-@dataclass(frozen=True)
+@record
 class HyperbolicGroup(GroupExpr):
     witness_bound: DimBound | None = None
     _kinds = ("bound",)
 
 
-@dataclass(frozen=True)
+@record
 class RelHyperbolic(_Parts):
     peripherals: tuple[GroupExpr, ...]
     ambient_bound: DimBound | None = None

@@ -44,9 +44,10 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import NamedTuple
 
+from .bounds import _Record, record
 from .geometries import UnknownGeometryError, lookup_geometry
 from .groups import (
     ActsOnCover,
@@ -85,27 +86,27 @@ class OutsideClassifiedCasesError(_PositionedError):
     """A decomposition graph mixes geometries no classified case covers."""
 
 
-@dataclass(frozen=True)
-class GeometricPiece:
+@record
+class GeometricPiece(_Record):
     name: str
     geometry: str
 
 
-@dataclass(frozen=True)
-class GraphVertex:
+@record
+class GraphVertex(_Record):
     id: str
     geometry: str
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+@record
+class GraphEdge(_Record):
     source: str
     target: str
     edge_type: str
 
 
-@dataclass(frozen=True)
-class DecompGraph:
+@record
+class DecompGraph(_Record):
     name: str
     vertices: tuple[GraphVertex, ...]
     edges: tuple[GraphEdge, ...]
@@ -121,16 +122,16 @@ class DecompGraph:
 Summand = GeometricPiece | DecompGraph
 
 
-@dataclass(frozen=True)
-class ManifoldDesc:
+@record
+class ManifoldDesc(_Record):
     dim: int
     summands: tuple[Summand, ...]
     alexandrov: bool = False
     singular_set_nonempty: bool = False
 
 
-@dataclass(frozen=True)
-class AsphericityVerdict:
+@record
+class AsphericityVerdict(_Record):
     status: str
     reason: str
 
