@@ -12,20 +12,24 @@ then shared through a weak-value table.
 
 The other immutable values of the package (group expressions, manifold
 descriptions, catalog facts, rules and traces) are declared with ``record``,
-which keeps their dataclass fields but generates no methods: ``_Record``
-supplies them once for every such class.
+which gives them slots and generates no methods: ``_Record`` supplies them
+once for every such class.  Nothing here imports ``dataclasses``; a record
+class builds its ``dataclasses`` view, and imports the module, when that view
+is first asked for.
 """
 
 from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import MISSING, FrozenInstanceError, dataclass
+from collections import namedtuple
 from operator import attrgetter
 
 _NUMBER = 0
 _FINITE_UNKNOWN = 1
 _UNKNOWN = 2
+
+_MISSING = object()  # a record field's default, when it has none
 
 
 def natural_int(token: str) -> int:
@@ -60,9 +64,11 @@ class _Shared:
         return cls._table.setdefault(key, self)
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
@@ -84,6 +90,34 @@ class _Shared:
         return type(self), self._key
 
 
+class _DataclassView:
+    """``__dataclass_fields__`` or ``__dataclass_params__`` of a ``record``
+    class, which ``dataclasses.fields``, ``replace``, ``is_dataclass`` and
+    ``pprint`` read.  The first read imports ``dataclasses``, runs a plain
+    class with the same fields through ``dataclasses.dataclass`` and keeps
+    both of its attributes on the record class.  A class not declared with
+    ``record`` has neither."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, cls: type):
+        specs = vars(cls).get("_specs")
+        if specs is None:
+            raise AttributeError(f"{cls.__name__} is not declared with record: no {self.name}")
+        import dataclasses
+        body = {name: dataclasses.field(
+                    default=dataclasses.MISSING if f.default is _MISSING else f.default,
+                    init=f.init, repr=f.repr, compare=f.compare)
+                for name, f in specs.items()}
+        shadow = dataclasses.dataclass(init=False, repr=False, eq=False)(type(cls.__name__, (), {
+            **body, "__module__": cls.__module__, "__qualname__": cls.__qualname__,
+            "__annotations__": cls.__annotations__}))
+        cls.__dataclass_fields__ = shadow.__dataclass_fields__
+        cls.__dataclass_params__ = shadow.__dataclass_params__
+        return vars(cls)[self.name]
+
+
 class _Record:
     """An immutable value whose class declares its fields through ``record``.
 
@@ -93,12 +127,16 @@ class _Record:
     ``_defaults`` maps init fields to their defaults; ``_post_init`` says
     whether ``__init__`` ends with ``__post_init__()``, which sets any field
     declared with ``init=False``; ``_key`` gives the compared fields' values
-    as one tuple; ``_shown`` names the fields ``repr`` shows.
+    as one tuple; ``_shown`` names the fields ``repr`` shows; ``_specs`` maps
+    every field to its ``field``, from which ``_DataclassView`` builds the
+    class's ``dataclasses`` view on first use.
     """
 
     __slots__ = ()
     __setattr__ = _Shared.__setattr__
     __delattr__ = _Shared.__delattr__
+    __dataclass_fields__ = _DataclassView()
+    __dataclass_params__ = _DataclassView()
 
     def __init__(self, *args, **kwargs) -> None:
         setters = self._setters
@@ -136,20 +174,42 @@ class _Record:
         return type(self), tuple([getattr(self, name) for name in self.__match_args__])
 
 
+_Field = namedtuple("_Field", "default init repr compare")
+
+
+def field(*, default=_MISSING, init: bool = True, repr: bool = True,
+          compare: bool = True) -> _Field:
+    """A record field's default (``_MISSING`` if it has none), and whether
+    ``__init__`` takes it, ``repr`` shows it and ``==`` and ``hash`` compare
+    it, as ``dataclasses.field`` takes them."""
+    return _Field(default, init, repr, compare)
+
+
 def record(cls: type) -> type:
-    """Declare the annotated fields of ``cls``, a ``_Record``, as a dataclass
-    does, but in slots and with no generated method, and set what its methods
-    read.  A default is a plain value, not a factory.  The class is rebuilt, so
-    its methods must not call ``super()`` without arguments."""
-    if not cls.__doc__:  # dataclass would otherwise write one from inspect.signature
-        cls.__doc__ = f"{cls.__name__}({', '.join(cls.__annotations__)})"
-    cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
-    fields = cls.__dataclass_fields__.values()
-    cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__match_args__])
-    cls._post_init = hasattr(cls, "__post_init__")
-    cls._defaults = {f.name: f.default for f in fields if f.init and f.default is not MISSING}
-    cls._key = _values(tuple([f.name for f in fields if f.compare]))
-    cls._shown = tuple([f.name for f in fields if f.repr])
+    """Declare the fields of ``cls``, a ``_Record``, in the order they are
+    annotated: rebuild the class with a slot for each, and no class-level
+    default, and set what the ``_Record`` methods read.  A field's default is
+    a ``field`` or a plain value, not a factory.  The class is rebuilt, so its
+    methods must not call ``super()`` without arguments."""
+    body = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+    specs = {}
+    for name in body.get("__annotations__", ()):
+        spec = body.pop(name, _MISSING)
+        specs[name] = spec if type(spec) is _Field else field(default=spec)
+    init = tuple([name for name, f in specs.items() if f.init])
+    cls = type(cls.__name__, cls.__bases__, {
+        **body,
+        "__qualname__": cls.__qualname__,
+        "__slots__": tuple(specs),
+        "__match_args__": init,
+        "_specs": specs,
+        "_defaults": {name: default for name in init
+                      if (default := specs[name].default) is not _MISSING},
+        "_post_init": hasattr(cls, "__post_init__"),
+        "_key": _values(tuple([name for name, f in specs.items() if f.compare])),
+        "_shown": tuple([name for name, f in specs.items() if f.repr]),
+    })
+    cls._setters = tuple([getattr(cls, name).__set__ for name in init])
     return cls
 
 

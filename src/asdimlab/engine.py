@@ -19,9 +19,9 @@ emits, which is what ``replay`` checks.
 from __future__ import annotations
 
 import functools
-from dataclasses import field
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from types import MappingProxyType
-from typing import Callable, NamedTuple, Sequence
 
 from .bounds import (
     FINITE_UNKNOWN,
@@ -29,6 +29,7 @@ from .bounds import (
     DimBound,
     InconsistentBoundError,
     _Record,
+    field,
     finite,
     natural_int,
     record,
@@ -301,7 +302,8 @@ def _arith(rule_id: str, ins: tuple[DimBound, ...], ps: tuple[int, ...]) -> DimB
 # Proof traces
 
 
-class TraceStep(NamedTuple):
+class TraceStep(namedtuple("TraceStep", "index rule_id subject produced refs literals params",
+                           defaults=((), (), ()))):
     """One rule application in SSA form, a tuple of its seven fields.
 
     ``refs`` point at earlier steps whose produced bounds feed this one;
@@ -310,13 +312,7 @@ class TraceStep(NamedTuple):
     are assembled as refs-then-literals, in order.
     """
 
-    index: int
-    rule_id: str
-    subject: str
-    produced: DimBound
-    refs: tuple[int, ...] = ()
-    literals: tuple[DimBound, ...] = ()
-    params: tuple[int, ...] = ()
+    __slots__ = ()
 
 
 @record

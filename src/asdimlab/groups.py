@@ -23,9 +23,9 @@ from __future__ import annotations
 import enum
 import functools
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Container, Iterator, Sequence
 from operator import methodcaller
-from typing import Any, NamedTuple
 
 from .bounds import DimBound, ExtendedDim, InconsistentBoundError, _Record, natural_int, record
 from .geometries import UnknownGeometryError, lookup_geometry
@@ -65,7 +65,7 @@ class GroupExpr(_Record):
     def _fields(cls) -> list[tuple[str, _Kind, bool]]:
         """(name, kind, whether it may be None) of each field that has a kind."""
         names = cls.__match_args__[len(cls.__match_args__) - len(cls._kinds):]
-        return [(name, _KINDS[kind], cls.__dataclass_fields__[name].default is None)
+        return [(name, _KINDS[kind], name in cls._defaults and cls._defaults[name] is None)
                 for name, kind in zip(names, cls._kinds)]
 
     def children(self) -> tuple[GroupExpr, ...]:
@@ -498,13 +498,10 @@ class _Scanner:
             raise self.error(str(exc), offset) from exc
 
 
-class _Kind(NamedTuple):
+class _Kind(namedtuple("_Kind", "read write accepts what")):
     """A kind of field: its reader, its writer, and the test a value must pass, also in words."""
 
-    read: Callable[[_Scanner], object]
-    write: Callable[[Any], str]
-    accepts: Callable[[object], bool]
-    what: str
+    __slots__ = ()
 
 
 def _writable(v: object) -> bool:

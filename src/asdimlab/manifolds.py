@@ -43,11 +43,9 @@ OutsideClassifiedCasesError, the compiler's only failure mode.
 from __future__ import annotations
 
 import re
-from collections import deque
-from dataclasses import field
-from typing import NamedTuple
+from collections import deque, namedtuple
 
-from .bounds import _Record, record
+from .bounds import _Record, field, record
 from .geometries import UnknownGeometryError, lookup_geometry
 from .groups import (
     ActsOnCover,
@@ -140,19 +138,17 @@ class AsphericityVerdict(_Record):
             raise ValueError(f"bad verdict status {self.status!r}")
 
 
-class CompileResult(NamedTuple):
-    expr: GroupExpr
-    verdict: AsphericityVerdict
+class CompileResult(namedtuple("CompileResult", "expr verdict")):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
 # Lexer
 
 
-class _Token(NamedTuple):
-    text: str
-    offset: int
-    kind: str  # "name", "punct", "eof"
+class _Token(namedtuple("_Token", "text offset kind")):
+    # kind: "name", "punct" or "eof"
+    __slots__ = ()
 
     def describe(self) -> str:
         return "end of input" if self.kind == "eof" else repr(self.text)

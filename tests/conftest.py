@@ -18,11 +18,12 @@ GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_fresh(code: str) -> str:
-    """Stdout of `code` run in a new interpreter that imports the package from src."""
+def run_fresh(code: str, *flags: str) -> str:
+    """Stdout of `code` run in a new interpreter, started with these flags,
+    that imports the package from src."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,

@@ -104,7 +104,7 @@ def test_group_walks_survive_50000_deep_nesting():
     assert len(text) == len("FreeAbelian(1)") + DEEP * len("Amalgam(,FreeAbelian(1),Trivial)")
     assert is_infinite(expr) is InfinitenessStatus.INFINITE
     assert to_canonical(normalize(expr)) == text
-    # compare texts: dataclass == on two distinct trees this deep still recurses
+    # compare texts: _Record.__eq__ on two distinct trees this deep still recurses
     assert to_canonical(parse_canonical(text)) == text
 
 
