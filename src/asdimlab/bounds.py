@@ -1,4 +1,4 @@
-"""Dimension values and two-sided bounds.
+"""Dimension values and two-sided bounds, and the base of every record.
 
 Asymptotic-dimension facts come in three strengths: an exact non-negative
 integer, "finite but no number known" (the conclusion of qualitative
@@ -6,16 +6,11 @@ finiteness theorems), and "unknown".  ``ExtendedDim`` models that scale;
 ``DimBound`` pairs an integer lower bound with an extended upper bound and
 refuses to exist when the two contradict each other.
 
-Both are hash-consed (Filliâtre & Conchon, "Type-safe modular hash-consing",
-2006): each distinct value is validated and built once, with its hash and text,
-then shared through a weak-value table.
-
-The other immutable values of the package (group expressions, manifold
-descriptions, catalog facts, rules and traces) are declared with ``record``,
-which gives them slots and generates no methods: ``_Record`` supplies them
-once for every such class.  Nothing here imports ``dataclasses``; a record
-class builds its ``dataclasses`` view, and imports the module, when that view
-is first asked for.
+Every immutable value of the package is a ``record``, whose methods
+``_Record`` supplies; ``dataclasses`` is imported only for a record's
+``dataclasses`` view.  These two and the group expressions are hash-consed
+(Filliâtre & Conchon, "Type-safe modular hash-consing", 2006): each distinct
+value is built once, and shared through a weak table keyed by its fields.
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ from __future__ import annotations
 import functools
 import weakref
 from collections import namedtuple
-from operator import attrgetter
 
 _NUMBER = 0
 _FINITE_UNKNOWN = 1
@@ -49,54 +43,11 @@ class InconsistentBoundError(Exception):
     """
 
 
-class _Shared:
-    """An immutable value shared through its class's weak-value ``_table``.
-    ``_key`` is its field tuple; equality, hashing, copying and pickling go
-    through it, so a duplicate built by a racing thread still compares equal."""
-
-    __slots__ = ("_key", "_hash", "_str", "__weakref__")
-
-    @classmethod
-    def _share(cls, key: tuple, text: str):
-        self = object.__new__(cls)
-        for name, v in zip(cls.__slots__ + ("_key", "_hash", "_str"), key + (key, hash(key), text)):
-            object.__setattr__(self, name, v)
-        return cls._table.setdefault(key, self)
-
-    def __setattr__(self, name, value):
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self is other or self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        return self._str
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key))
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._key
-
-
 class _DataclassView:
     """``__dataclass_fields__`` or ``__dataclass_params__`` of a ``record``
-    class, which ``dataclasses.fields``, ``replace``, ``is_dataclass`` and
-    ``pprint`` read.  The first read imports ``dataclasses``, runs a plain
-    class with the same fields through ``dataclasses.dataclass`` and keeps
-    both of its attributes on the record class.  A class not declared with
-    ``record`` has neither."""
+    class, for ``dataclasses.fields``, ``replace``, ``is_dataclass`` and
+    ``pprint``: the first read runs a plain class with the same fields through
+    ``dataclasses.dataclass`` and keeps both its attributes on the class."""
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
@@ -122,67 +73,116 @@ class _Record:
     """An immutable value whose class declares its fields through ``record``.
 
     Construction, equality, hashing, ``repr``, copying and pickling behave as
-    a frozen dataclass's, from what ``record`` sets on the class once:
-    ``_setters`` writes each init field's slot, in ``__match_args__`` order;
-    ``_defaults`` maps init fields to their defaults; ``_post_init`` says
-    whether ``__init__`` ends with ``__post_init__()``, which sets any field
-    declared with ``init=False``; ``_key`` gives the compared fields' values
-    as one tuple; ``_shown`` names the fields ``repr`` shows; ``_specs`` maps
-    every field to its ``field``, from which ``_DataclassView`` builds the
-    class's ``dataclasses`` view on first use.
+    a frozen dataclass's, from what ``record`` sets on the class: ``_setters``
+    write the init fields' slots, in ``__match_args__`` order; ``_defaults``
+    maps them to their defaults; ``_compared`` and ``_shown`` name the fields
+    ``==`` compares and ``repr`` shows; ``_specs`` holds every ``field``.
+
+    ``_checked`` may refuse the init fields' values, one tuple, first; an
+    interned class returns the live value filed under them in its ``_table``,
+    or files a new one, which keeps them as its ``_key`` and their hash as its
+    ``_hash``.  ``__post_init__`` may refuse a new value or set its other slots.
+    Equal interned values are one object, but for a racing thread's duplicate.
     """
 
     __slots__ = ()
-    __setattr__ = _Shared.__setattr__
-    __delattr__ = _Shared.__delattr__
+    _interned = False
+    _checked = None
     __dataclass_fields__ = _DataclassView()
     __dataclass_params__ = _DataclassView()
 
-    def __init__(self, *args, **kwargs) -> None:
-        setters = self._setters
-        if kwargs or len(args) != len(setters):
-            args = self._bind(args, kwargs)
+    def __new__(cls, *values, **kwargs):
+        if kwargs or len(values) != len(cls._setters):
+            values = cls._bind(values, kwargs)
+        if cls._checked is not None:
+            values = cls._checked(values)
+        table = cls._table
+        ref = None if table is None else table.get(values)
+        if ref is not None and (self := ref()) is not None:
+            return self
+        self = object.__new__(cls)
         i = 0  # an index, not zip: this runs for every record made, and zip costs more
-        for set_field in setters:
-            set_field(self, args[i])
+        for set_field in cls._setters:
+            set_field(self, values[i])
             i += 1
-        if self._post_init:
+        if table is not None:
+            object.__setattr__(self, "_key", values)
+            object.__setattr__(self, "_hash", hash(values))
+        if cls._post_init:
             self.__post_init__()
+        if table is None:
+            return self
+        # the callback takes the entry out of the table once the value has died
+        ref = weakref.ref(self, lambda dead, key=values: table.get(key) is dead and table.pop(key))
+        filed = table.setdefault(values, ref)
+        if filed is not ref and (other := filed()) is not None:
+            return other  # a duplicate that a racing thread filed first
+        return self
 
-    def _bind(self, args: tuple, kwargs: dict) -> list:
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
         """The init fields' values, in order, from keyword and left-out arguments."""
-        names, defaults = self.__match_args__, self._defaults
+        names, defaults = cls.__match_args__, cls._defaults
         rest = names[len(args):]
         if len(args) > len(names) or not kwargs.keys() <= {*rest} <= kwargs.keys() | defaults.keys():
-            raise TypeError(f"{type(self).__name__}({', '.join(names)}) called with"
+            raise TypeError(f"{cls.__name__}({', '.join(names)}) called with"
                             f" {len(args)} positional arguments and the keywords {sorted(kwargs)}")
-        return [*args, *[kwargs[n] if n in kwargs else defaults[n] for n in rest]]
+        return (*args, *[kwargs[n] if n in kwargs else defaults[n] for n in rest])
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._key(self) == self._key(other)
+        if self is other:
+            return True
+        return (self._table is None or self._hash == other._hash) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key(self))
+        return self._hash
+
+    # an interned value stores both in slots, which hide these
+    _key = property(lambda self: tuple([getattr(self, name) for name in self._compared]))
+    _hash = property(lambda self: hash(self._key))
 
     def __repr__(self) -> str:
-        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._shown])
-        return f"{type(self).__qualname__}({shown})"
+        """The dataclass text, written from an explicit stack at any depth."""
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            if isinstance(item, _Record):
+                out.append(type(item).__qualname__ + "(")
+                stack.append(")")
+                parts = [(name + "=", getattr(item, name)) for name in item._shown]
+            else:
+                out.append("(")
+                stack.append(",)" if len(item) == 1 else ")")
+                parts = [("", v) for v in item]
+            for i, (label, v) in reversed(list(enumerate(parts))):
+                stack.append(v if isinstance(v, _Record) or type(v) is tuple else repr(v))
+                stack.append(", " + label if i else label)
+        return "".join(out)
 
     def __reduce__(self):
         return type(self), tuple([getattr(self, name) for name in self.__match_args__])
 
 
-_Field = namedtuple("_Field", "default init repr compare")
-
-
-def field(*, default=_MISSING, init: bool = True, repr: bool = True,
-          compare: bool = True) -> _Field:
+class field(namedtuple("field", "default init repr compare", defaults=(_MISSING, True, True, True))):
     """A record field's default (``_MISSING`` if it has none), and whether
     ``__init__`` takes it, ``repr`` shows it and ``==`` and ``hash`` compare
     it, as ``dataclasses.field`` takes them."""
-    return _Field(default, init, repr, compare)
+
+    __slots__ = ()
 
 
 def record(cls: type) -> type:
@@ -195,36 +195,28 @@ def record(cls: type) -> type:
     specs = {}
     for name in body.get("__annotations__", ()):
         spec = body.pop(name, _MISSING)
-        specs[name] = spec if type(spec) is _Field else field(default=spec)
+        specs[name] = spec if type(spec) is field else field(default=spec)
     init = tuple([name for name, f in specs.items() if f.init])
     cls = type(cls.__name__, cls.__bases__, {
         **body,
         "__qualname__": cls.__qualname__,
-        "__slots__": tuple(specs),
+        "__slots__": (*specs, *(("_key", "_hash", "__weakref__") if cls._interned else ())),
         "__match_args__": init,
+        "_table": {} if cls._interned else None,
         "_specs": specs,
         "_defaults": {name: default for name in init
                       if (default := specs[name].default) is not _MISSING},
         "_post_init": hasattr(cls, "__post_init__"),
-        "_key": _values(tuple([name for name, f in specs.items() if f.compare])),
+        "_compared": tuple([name for name, f in specs.items() if f.compare]),
         "_shown": tuple([name for name, f in specs.items() if f.repr]),
     })
     cls._setters = tuple([getattr(cls, name).__set__ for name in init])
     return cls
 
 
-def _values(names: tuple[str, ...]):
-    """A function from a record to the tuple of these fields' values."""
-    if len(names) > 1:
-        return attrgetter(*names)
-    if names:
-        get = attrgetter(*names)
-        return staticmethod(lambda self: (get(self),))
-    return staticmethod(lambda self: ())
-
-
 @functools.total_ordering
-class ExtendedDim(_Shared):
+@record
+class ExtendedDim(_Record):
     """A dimension value: Number(n), FiniteUnknown, or Unknown.  Both fields
     are exact ints (bool and float raise ValueError), so equal values print alike.
 
@@ -232,25 +224,25 @@ class ExtendedDim(_Shared):
     which the (rank, value) field order realizes directly.
     """
 
-    __slots__ = ("rank", "value")
-    _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+    rank: int
+    value: int = 0
+    _interned = True
 
-    def __new__(cls, rank: int, value: int = 0) -> "ExtendedDim":
+    @staticmethod
+    def _checked(values: tuple) -> tuple:
+        rank, value = values
         if type(rank) is not int or rank not in (_NUMBER, _FINITE_UNKNOWN, _UNKNOWN):
             raise ValueError(f"bad ExtendedDim rank {rank!r}")
         if type(value) is not int:
             raise ValueError(f"ExtendedDim value must be an int, got {value!r}")
-        key = (rank, value)
-        self = cls._table.get(key)
-        if self is not None:
-            return self
-        if rank == _NUMBER:
-            if value < 0:
-                raise ValueError(f"negative dimension {value}")
-            return cls._share(key, str(value))
-        if value != 0:
+        if rank == _NUMBER and value < 0:
+            raise ValueError(f"negative dimension {value}")
+        if rank != _NUMBER and value != 0:
             raise ValueError("non-numeric ExtendedDim carries no value")
-        return cls._share(key, "fin" if rank == _FINITE_UNKNOWN else "?")
+        return values
+
+    def __str__(self) -> str:
+        return str(self.value) if self.is_number else "fin" if self.is_finite else "?"
 
     def __lt__(self, other):
         return self._key < other._key if type(other) is ExtendedDim else NotImplemented
@@ -291,7 +283,8 @@ def finite(n: int) -> ExtendedDim:
     return ExtendedDim(_NUMBER, n)
 
 
-class DimBound(_Shared):
+@record
+class DimBound(_Record):
     """Two-sided asymptotic-dimension bound: lower ≤ asdim ≤ upper.
 
     The lower bound is always an exact int; the upper lives on the
@@ -299,21 +292,27 @@ class DimBound(_Shared):
     upper is numeric, raising InconsistentBoundError otherwise.
     """
 
-    __slots__ = ("lower", "upper")
-    _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+    lower: int
+    upper: ExtendedDim
+    # its text, written once when the bound is made
+    _str: str = field(init=False, repr=False, compare=False)
+    _interned = True
 
-    def __new__(cls, lower: int, upper: ExtendedDim) -> "DimBound":
-        if type(lower) is not int:
-            raise ValueError(f"DimBound lower must be an int, got {lower!r}")
-        key = (lower, upper)
-        self = cls._table.get(key)
-        if self is not None:
-            return self
-        if lower < 0:
-            raise ValueError(f"negative lower bound {lower}")
-        if upper.is_number and lower > upper.value:
-            raise InconsistentBoundError(f"lower bound {lower} exceeds upper bound {upper}")
-        return cls._share(key, f"{lower}..{upper}")
+    @staticmethod
+    def _checked(values: tuple) -> tuple:
+        if type(values[0]) is not int:
+            raise ValueError(f"DimBound lower must be an int, got {values[0]!r}")
+        return values
+
+    def __post_init__(self) -> None:
+        if self.lower < 0:
+            raise ValueError(f"negative lower bound {self.lower}")
+        if self.upper.is_number and self.lower > self.upper.value:
+            raise InconsistentBoundError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
+        object.__setattr__(self, "_str", f"{self.lower}..{self.upper}")
+
+    def __str__(self) -> str:
+        return self._str
 
     @classmethod
     def exact(cls, n: int) -> "DimBound":

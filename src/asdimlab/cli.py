@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-from pathlib import Path
 
 # The functions of other modules that handlers call, by the name they are
 # called under here: (module, attribute).  Each becomes a module global on
@@ -70,7 +69,8 @@ def _error(message: str, code: int = 2) -> int:
 
 def _read_text(path: str) -> tuple[str, bytes] | int:
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as file:
+            raw = file.read()
     except OSError as exc:
         return _error(f"{path}: error: {exc.strerror or exc}")
     try:
@@ -81,7 +81,8 @@ def _read_text(path: str) -> tuple[str, bytes] | int:
 
 def _write_text(path: str, text: str) -> int:
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as file:
+            file.write(text)
     except OSError as exc:
         return _error(f"{path}: error: {exc.strerror or exc}")
     return 0

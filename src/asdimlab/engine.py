@@ -493,19 +493,18 @@ class _Evaluator:
     """One bound derivation: the trace so far, and where each distinct leaf's
     steps first appear in it.
 
-    ``eval`` keeps, for each finished node, its final step index, canonical
-    text and infiniteness on a stack, and derives a node's own from its
-    children's entries, so it holds no map keyed by node identity.  A leaf
-    is derived, with ``apply_rule``'s checks, at its first occurrence only.
-    ``leaves`` maps the leaf, whose exact-typed fields name it as losslessly
-    as its text, to its first block of steps, final step, text and
-    infiniteness; every later occurrence appends a copy of the block, its
-    indices and refs shifted to its own position.
+    ``eval`` keeps, for each finished node, its final step index and
+    canonical text on a stack, and derives a node's own from its children's
+    entries.  A leaf is derived, with ``apply_rule``'s checks, at its first
+    occurrence only.  ``leaves`` maps the leaf, one node per value, to its
+    first block of steps, final step and text; every later occurrence
+    appends a copy of the block, its indices and refs shifted to its own
+    position.
     """
 
     def __init__(self) -> None:
         self.steps: list[TraceStep] = []
-        self.leaves: dict[GroupExpr, tuple[int, int, int, str, InfinitenessStatus]] = {}
+        self.leaves: dict[GroupExpr, tuple[int, int, int, str]] = {}
 
     def emit(self, rule_id, subject, refs=(), literals=(), params=()):
         steps = self.steps
@@ -513,13 +512,13 @@ class _Evaluator:
         steps.append(TraceStep(len(steps), rule_id, subject, produced, refs, literals, params))
         return len(steps) - 1
 
-    def eval(self, expr: GroupExpr) -> tuple[int, str, InfinitenessStatus]:
+    def eval(self, expr: GroupExpr) -> tuple[int, str]:
         """Emit the derivation of every node, children first; the root's entry.
 
         ``done`` holds the entry of each finished node whose parent has not
         finished yet, so a node's children are its top entries.
         """
-        done: list[tuple[int, str, InfinitenessStatus]] = []
+        done: list[tuple[int, str]] = []
         for node in postorder(expr):
             derive = _DERIVE.get(type(node))
             if derive is None:
@@ -532,28 +531,26 @@ class _Evaluator:
             kids = done[len(done) - n:]
             del done[len(done) - n:]
             subject = head + ",".join([k[1] for k in kids]) + tail
-            status = node.infiniteness([k[2] for k in kids])
             idx = derive(self, node, subject, kids)
-            if status is InfinitenessStatus.INFINITE:
+            if node._status is InfinitenessStatus.INFINITE:
                 # A composite forced infinite gains the infinite-group lower
                 # bound; a leaf's own steps carry its lower bound.
                 lb = self.emit("R-INFINITE-LB", subject)
                 idx = self.emit("R-COMBINE", subject, (idx, lb))
-            done.append((idx, subject, status))
+            done.append((idx, subject))
         return done[0]
 
-    def _leaf(self, node: GroupExpr, derive) -> tuple[int, str, InfinitenessStatus]:
+    def _leaf(self, node: GroupExpr, derive) -> tuple[int, str]:
         """A leaf's entry: derived at its first occurrence, copied after."""
         steps = self.steps
         base = len(steps)
         known = self.leaves.get(node)
         if known is None:
             subject = node.frame()[0]
-            status = node.infiniteness([])
             final = derive(self, node, subject, ())
-            self.leaves[node] = base, len(steps), final, subject, status
-            return final, subject, status
-        start, stop, final, subject, status = known
+            self.leaves[node] = base, len(steps), final, subject
+            return final, subject
+        start, stop, final, subject = known
         shift = base - start
         new = tuple.__new__
         steps.extend([
@@ -561,7 +558,7 @@ class _Evaluator:
                             tuple([r + shift for r in refs]) if refs else refs, literals, params))
             for i, rule, text, produced, refs, literals, params in steps[start:stop]
         ])
-        return final + shift, subject, status
+        return final + shift, subject
 
     def _free_product(self, expr: FreeProduct, subject: str, kids) -> int:
         # Iterated amalgam over a single shared trivial edge group, each
@@ -569,7 +566,7 @@ class _Evaluator:
         edge = self.emit("R-FINITE", "Trivial")
         head, tail = expr.frame()
         acc, prefix = kids[0][0], head + kids[0][1]
-        for ref, text, _ in kids[1:]:
+        for ref, text in kids[1:]:
             prefix += "," + text
             acc = self.emit("R-AMALGAM", prefix + tail, refs=(acc, ref, edge))
         return acc
@@ -654,16 +651,16 @@ def bound(expr: GroupExpr, aspherical_dim: int | None = None) -> BoundResult:
 
     One iterative walk over the normalized expression emits the trace, at
     any nesting depth.  Rules are applied, with their checks, once per
-    composite step and once per step of each distinct leaf; every repeated
-    leaf appends a copy of its first derivation's steps.  So the cost is the
-    distinct leaves' derivations plus a tuple per step and the bytes of the
-    subjects of the composites.
+    composite step and once per step of each distinct (interned) leaf; every
+    repeated leaf appends a copy of its first derivation's steps.  So the cost
+    is the distinct leaves' derivations plus a tuple per step and the bytes
+    of the subjects of the composites.
     """
     expr = normalize(expr)
     if isinstance(expr, Trivial) and aspherical_dim is None:
         return BoundResult(DimBound.exact(0), ProofTrace(()))
     ev = _Evaluator()
-    idx, subject, _ = ev.eval(expr)
+    idx, subject = ev.eval(expr)
     if aspherical_dim is not None:
         lb = ev.emit("R-ASPH-LB", subject, params=(aspherical_dim,))
         idx = ev.emit("R-COMBINE", subject, (idx, lb))

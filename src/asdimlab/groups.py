@@ -8,6 +8,7 @@ actions on universal covers, plus three "evidence" leaves that carry a
 bound rather than structure (a proper action on a space of known
 asymptotic dimension, hyperbolicity, relative hyperbolicity).
 
+Equal expressions are one node, which stores its infiniteness when built.
 Each variant class holds its rebuild step and infiniteness, and a leaf the
 kinds of its fields, which one table checks, writes and reads.  The module
 provides the canonical text form used in proof traces and fixtures
@@ -42,7 +43,8 @@ class InfinitenessStatus(enum.Enum):
 
 
 class GroupExpr(_Record):
-    """Base class for all expression variants, each a ``record``.
+    """Base class for all expression variants, each an interned ``record``
+    that stores its infiniteness, from its children's, in ``_status``.
 
     The defaults here are a leaf's.  ``frame()`` gives the text around the
     children in the canonical form: ``head + ",".join(their forms) + tail``.
@@ -50,15 +52,24 @@ class GroupExpr(_Record):
     the last ``len(_kinds)`` fields; one whose default is None may be None.
     """
 
-    __slots__ = ()
+    __slots__ = ("_status",)
+    _interned = True
     _kinds = ()
 
-    def __post_init__(self) -> None:
-        for name, kind, may_be_none in self._fields():
-            value = getattr(self, name)
+    @classmethod
+    def _checked(cls, values: tuple) -> tuple:
+        for (name, kind, may_be_none), value in zip(cls._fields(), values[-len(cls._kinds):]):
             if not (kind.accepts(value) or may_be_none and value is None):
                 got = repr(value) if _writable(value) else "an int too long to write"
-                raise ValueError(f"{type(self).__name__}.{name} must be {kind.what}, got {got}")
+                raise ValueError(f"{cls.__name__}.{name} must be {kind.what}, got {got}")
+        return values
+
+    def __post_init__(self) -> None:
+        kids = self.children()
+        stray = [type(kid).__name__ for kid in kids if not isinstance(kid, GroupExpr)]
+        if stray:
+            raise ValueError(f"{type(self).__name__} parts must be GroupExprs, got {stray[0]}")
+        object.__setattr__(self, "_status", self.infiniteness([kid._status for kid in kids]))
 
     @classmethod
     @functools.cache
@@ -104,12 +115,16 @@ class GroupExpr(_Record):
 
 
 class _Composite(GroupExpr):
-    """A variant with children, written ``Name(child,...)``."""
+    """A variant written ``Name(child,...)``; its children are its fields unless it says otherwise."""
 
     __slots__ = ()
+    _checked = None  # its children are checked after the lookup: only a GroupExpr equals one
 
     def frame(self) -> tuple[str, str]:
         return type(self).__name__ + "(", ")"
+
+    def children(self) -> tuple[GroupExpr, ...]:
+        return self._key
 
     @classmethod
     def rebuild(cls, kids: Sequence[GroupExpr]) -> GroupExpr:
@@ -128,15 +143,15 @@ class _Parts(_Composite):
 
     __slots__ = ()
 
-    def __post_init__(self) -> None:
-        name = self.__match_args__[0]
-        object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not getattr(self, name):
-            raise ValueError(f"{type(self).__name__}.{name} must be nonempty")
-        super().__post_init__()
+    @classmethod
+    def _checked(cls, values: tuple) -> tuple:
+        parts = tuple(values[0])
+        if not parts:
+            raise ValueError(f"{cls.__name__}.{cls.__match_args__[0]} must be nonempty")
+        return super(_Composite, cls)._checked((parts, *values[1:]))
 
     def children(self) -> tuple[GroupExpr, ...]:
-        return getattr(self, self.__match_args__[0])
+        return self._key[0]
 
     @classmethod
     def rebuild(cls, kids: Sequence[GroupExpr], *fields: object) -> GroupExpr:
@@ -254,17 +269,11 @@ class Amalgam(_Composite):
 
     infiniteness = _infinite_if_a_part_is
 
-    def children(self) -> tuple[GroupExpr, ...]:
-        return (self.left, self.right, self.edge)
-
 
 @record
 class HNN(_Composite):
     base: GroupExpr
     edge: GroupExpr
-
-    def children(self) -> tuple[GroupExpr, ...]:
-        return (self.base, self.edge)
 
 
 @record
@@ -273,9 +282,6 @@ class Extension(_Composite):
     quotient: GroupExpr
 
     infiniteness = _infinite_if_a_part_is
-
-    def children(self) -> tuple[GroupExpr, ...]:
-        return (self.kernel, self.quotient)
 
 
 @record
@@ -291,9 +297,6 @@ class ActsOnCover(_Composite):
     space whose fundamental group is ``space``."""
 
     space: GroupExpr
-
-    def children(self) -> tuple[GroupExpr, ...]:
-        return (self.space,)
 
 
 @record
@@ -362,13 +365,12 @@ def is_infinite(expr: GroupExpr) -> InfinitenessStatus:
     extensions, subspace unions and the evidence leaves stay undetermined
     even when a sharper eye would settle them.
 
-    Each distinct node is decided once, so a shared subexpression costs
-    nothing after its first occurrence.
+    Each node is decided from its children's statuses when it is built, so
+    this reads what its ``infiniteness`` gave then.
     """
-    memo: dict[int, InfinitenessStatus] = {}
-    for node in postorder(expr, memo):
-        memo[id(node)] = node.infiniteness([memo[id(p)] for p in node.children()])
-    return memo[id(expr)]
+    if not isinstance(expr, GroupExpr):
+        raise TypeError(f"not a GroupExpr: {expr!r}")
+    return expr._status
 
 
 def normalize(expr: GroupExpr) -> GroupExpr:

@@ -15,6 +15,7 @@ from asdimlab.bounds import (
     InconsistentBoundError,
     finite,
 )
+from asdimlab.groups import Amalgam, Finite, FreeAbelian, Lattice, parse_canonical, to_canonical
 
 
 def test_total_order():
@@ -139,10 +140,13 @@ def test_fields_must_be_exact_ints(make):
 def test_values_built_by_racing_threads_agree():
     # lookup then insert is not atomic: a racing thread may build a duplicate,
     # which must still equal, hash and print as the shared value
-    built: list[list[DimBound]] = []
+    built: list[list] = []
 
     def build():
-        built.append([DimBound(lo, finite(lo + up)) for lo in range(40) for up in range(40)])
+        built.append([value for lo in range(40) for up in range(40) for value in (
+            DimBound(lo, finite(lo + up)),
+            Amalgam(FreeAbelian(lo), Lattice("H4", 4, True), Finite(up + 1)),
+        )])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -159,4 +163,7 @@ def test_values_built_by_racing_threads_agree():
     for values in built:
         for value, first in zip(values, built[0]):
             assert value == first and hash(value) == hash(first) and str(value) == str(first)
-            assert value == DimBound.parse(str(value))
+            if type(value) is DimBound:
+                assert value == DimBound.parse(str(value))
+            else:
+                assert value == parse_canonical(to_canonical(value))

@@ -103,9 +103,10 @@ def test_group_walks_survive_50000_deep_nesting():
     assert text.count("Amalgam(") == DEEP
     assert len(text) == len("FreeAbelian(1)") + DEEP * len("Amalgam(,FreeAbelian(1),Trivial)")
     assert is_infinite(expr) is InfinitenessStatus.INFINITE
-    assert to_canonical(normalize(expr)) == text
-    # compare texts: _Record.__eq__ on two distinct trees this deep still recurses
-    assert to_canonical(parse_canonical(text)) == text
+    assert normalize(expr) is expr
+    assert parse_canonical(text) is expr
+    assert hash(expr) == hash((expr.left, expr.right, expr.edge)) and expr != expr.left
+    assert repr(expr).startswith("Amalgam(left=Amalgam(left=")
 
 
 def test_normalize_flattens_a_product_nested_past_the_recursion_limit():
@@ -133,12 +134,13 @@ def test_postorder_yields_children_first_and_skips_seen_nodes():
 
 
 def test_shared_subexpressions_give_the_trace_of_their_unshared_copy():
-    # the engine memoizes by node identity; a DAG must derive exactly as the
-    # tree it stands for, which parse_canonical rebuilds without sharing
+    # equal expressions are one node, so the tree a text describes is the DAG
+    # built with shared parts; its trace must still follow tree positions
     h3 = Lattice("H3", 3, False)
     piece = Amalgam(h3, h3, SurfaceGroup("flat"))
     dag = Amalgam(piece, Product((piece, FreeAbelian(2), piece)), piece)
     tree = parse_canonical(to_canonical(dag))
+    assert tree is dag
     for adim in (None, 3):
         assert engine.serialize_trace(engine.bound(dag, adim).trace) == engine.serialize_trace(
             engine.bound(tree, adim).trace

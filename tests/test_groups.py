@@ -318,6 +318,15 @@ def test_every_accepted_leaf_round_trips_and_bounds(case):
         (ProperActionOn, (B01, None), "ProperActionOn.label must be a str, got None"),
         (RelHyperbolic, ((FreeAbelian(1),), 3),
          "RelHyperbolic.ambient_bound must be a DimBound, got 3"),
+        # the equal-valued node is interned first: it must not be returned
+        (lambda rank, kept=FreeAbelian(1): FreeAbelian(rank), (True,),
+         "FreeAbelian.rank must be an int >= 0, got True"),
+        (lambda order, kept=Finite(2): Finite(order), (2.0,),
+         "Finite.order must be an int >= 1, got 2.0"),
+        (lambda *args, kept=Lattice("H4", 4, True): Lattice(*args), ("H4", 4, 1),
+         "Lattice.cocompact must be a bool, got 1"),
+        (Amalgam, (FreeAbelian(1), 2, Trivial()), "Amalgam parts must be GroupExprs, got int"),
+        (Product, ([FreeAbelian(1), "Z"],), "Product parts must be GroupExprs, got str"),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else None,
 )

@@ -27,7 +27,7 @@ def test_bound_and_catalog_import_neither_dataclasses_nor_typing():
         ["catalog", "--dim", "3"],
         ["catalog", "--dim", "3", "--format", "structured"],
     ]
-    unused = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+    unused = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "pathlib")
     code = _COLD_CHILD.replace("ARGVS", repr(argvs)).replace("UNUSED", repr(unused))
     # -S: no site hook may load a module for the package and so hide that it needs it
     assert ast.literal_eval(run_fresh(code, "-S")) == ([0, 0, 2, 0, 0], [])
