@@ -15,6 +15,20 @@ import importlib
 
 __version__ = "0.1.0"
 
+
+class Refusal(ValueError):
+    """An input refused: its message, where it is (the file when known, a
+    1-based line and column when the text has them) and the exit code the
+    command line gives it.  Every exception class exported here is one."""
+
+    exit_code = 2
+    heading = ""  # what the command line writes before the message
+
+    def __init__(self, message: str, line: int | None = None, col: int | None = None, path: str | None = None):
+        super().__init__(message)
+        self.message, self.line, self.col, self.path = message, line, col, path
+
+
 # Each submodule and the public names it defines.
 _EXPORTS = {
     "bounds": "FINITE_UNKNOWN UNKNOWN DimBound ExtendedDim InconsistentBoundError finite",
@@ -36,7 +50,7 @@ _EXPORTS = {
 _SUBMODULES = (*_EXPORTS, "cli")
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
-__all__ = list(_SOURCE)
+__all__ = ["Refusal", *_SOURCE]
 
 
 def __getattr__(name: str):

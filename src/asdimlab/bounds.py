@@ -19,6 +19,8 @@ import functools
 import weakref
 from collections import namedtuple
 
+from . import Refusal
+
 _NUMBER = 0
 _FINITE_UNKNOWN = 1
 _UNKNOWN = 2
@@ -35,12 +37,15 @@ def natural_int(token: str) -> int:
     raise ValueError(f"invalid literal for int() with base 10: {token!r}")
 
 
-class InconsistentBoundError(Exception):
+class InconsistentBoundError(Refusal):
     """A derived lower bound exceeds a numeric upper bound.
 
     Bounds are never silently clamped; this error surfaces catalog or
     modeling mistakes at the point where they happen.
     """
+
+    exit_code = 3
+    heading = "inconsistent bounds: "
 
 
 class _DataclassView:

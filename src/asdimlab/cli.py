@@ -17,16 +17,21 @@ coarse; the cover subcommands load coarse alone, and numpy with it.
 
 Exit codes: 0 success, 1 semantic failure (invalid cover, no cover found),
 2 unusable input (parse errors, bad arguments, budget, unreadable input or
-unwritable output files, nesting deeper than the interpreter's recursion
-limit), 3 inconsistent derived bounds.
-Diagnostics go to stderr as "path:line:col: error: text".
+unwritable output files, a closed stdout, nesting deeper than the
+interpreter's recursion limit), 3 inconsistent derived bounds.
+A refusal is one line on stderr: "file:line:col: error: text" for a manifold
+description, "file:line: error: text" for a witness, "path: error: text" for
+a file that cannot be read or written, "error: text" for arguments and depth.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
+
+from . import Refusal
 
 # The functions of other modules that handlers call, by the name they are
 # called under here: (module, attribute).  Each becomes a module global on
@@ -62,60 +67,42 @@ def _load(*names: str) -> tuple:
     return tuple(scope[name] if name in scope else __getattr__(name) for name in names)
 
 
-def _error(message: str, code: int = 2) -> int:
-    print(message, file=sys.stderr)
-    return code
-
-
-def _read_text(path: str) -> tuple[str, bytes] | int:
+def _read_text(path: str) -> str:
     try:
         with open(path, "rb") as file:
-            raw = file.read()
+            return file.read().decode("utf-8")
     except OSError as exc:
-        return _error(f"{path}: error: {exc.strerror or exc}")
-    try:
-        return raw.decode("utf-8"), raw
+        raise Refusal(exc.strerror or str(exc), path=path) from exc
     except UnicodeDecodeError as exc:
-        return _error(f"{path}: error: not valid UTF-8 ({exc.reason})")
+        raise Refusal(f"not valid UTF-8 ({exc.reason})", path=path) from exc
 
 
-def _write_text(path: str, text: str) -> int:
+def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w") as file:
             file.write(text)
     except OSError as exc:
-        return _error(f"{path}: error: {exc.strerror or exc}")
-    return 0
+        raise Refusal(exc.strerror or str(exc), path=path) from exc
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
     from . import engine
-    from .bounds import InconsistentBoundError
-    from .manifolds import ManifoldParseError, OutsideClassifiedCasesError
 
     parse_manifold, compile_manifold, to_canonical = _load(
         "parse_manifold", "compile_manifold", "to_canonical"
     )
-    loaded = _read_text(args.file)
-    if isinstance(loaded, int):
-        return loaded
-    text, raw = loaded
-    try:
-        desc = parse_manifold(text)
-        expr, verdict = compile_manifold(desc)
-        aspherical = verdict.status == "Aspherical"
-        result = engine.bound(expr, aspherical_dim=desc.dim if aspherical else None)
-        cons = engine.consequences(result.bound, aspherical)
-    except (ManifoldParseError, OutsideClassifiedCasesError) as exc:
-        return _error(f"{args.file}:{exc.line}:{exc.col}: error: {exc.message}")
-    except InconsistentBoundError as exc:
-        return _error(f"error: inconsistent bounds: {exc}", 3)
+    text = _read_text(args.file)
+    desc = parse_manifold(text)
+    expr, verdict = compile_manifold(desc)
+    aspherical = verdict.status == "Aspherical"
+    result = engine.bound(expr, aspherical_dim=desc.dim if aspherical else None)
+    cons = engine.consequences(result.bound, aspherical)
     if args.format == "structured":
         import hashlib
         import json
 
         payload = {
-            "input": {"digest": "sha256:" + hashlib.sha256(raw).hexdigest()},
+            "input": {"digest": "sha256:" + hashlib.sha256(text.encode()).hexdigest()},
             "group": to_canonical(expr),
             "bound": {"lower": result.bound.lower, "upper": str(result.bound.upper)},
             "verdict": {"status": verdict.status, "reason": verdict.reason},
@@ -182,8 +169,7 @@ def cmd_cover_build(args: argparse.Namespace) -> int:
     witness = brick_cover(args.rank, args.D, args.radius)
     text = format_witness(witness)
     if args.output:
-        if _write_text(args.output, text):
-            return 2
+        _write_text(args.output, text)
         subsets = sum(len(fam) for fam in witness.families)
         print(
             f"wrote {args.output}: {len(witness.space)} points,"
@@ -196,20 +182,8 @@ def cmd_cover_build(args: argparse.Namespace) -> int:
 
 
 def cmd_cover_verify(args: argparse.Namespace) -> int:
-    from .coarse import WitnessFormatError
-
     parse_witness, verify_cover = _load("parse_witness", "verify_cover")
-    loaded = _read_text(args.file)
-    if isinstance(loaded, int):
-        return loaded
-    text, _ = loaded
-    try:
-        witness = parse_witness(text)
-    except WitnessFormatError as exc:
-        return _error(f"{args.file}:{exc.line}: error: {exc.message}")
-    except ValueError as exc:
-        # the label, line 2, names a ball that cayley_ball refuses to build
-        return _error(f"{args.file}:2: error: {exc}")
+    witness = parse_witness(_read_text(args.file))
     report = verify_cover(witness)
     if report.valid:
         subsets = sum(len(fam) for fam in witness.families)
@@ -238,7 +212,7 @@ def cmd_cover_search(args: argparse.Namespace) -> int:
         return 1
     print(f"k={result.k}")
     if args.output and result.witness is not None:
-        return _write_text(args.output, format_witness(result.witness))
+        _write_text(args.output, format_witness(result.witness))
     return 0
 
 
@@ -295,11 +269,23 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on bad arguments
         return exc.code
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout is refused here, not at exit
+        return code
     except ValueError as exc:
-        return _error(f"error: {exc}")
+        refusal = exc if isinstance(exc, Refusal) else Refusal(str(exc))
     except RecursionError:
-        return _error("error: input nests too deeply to process")
+        refusal = Refusal("input nests too deeply to process")
+    except BrokenPipeError as exc:
+        # what stdout still buffers goes nowhere, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        refusal = Refusal(exc.strerror, path="<stdout>")
+    where = ""
+    if refusal.path or refusal.line:  # path[:line[:col]], a line's path being the input file
+        parts = (refusal.path or getattr(args, "file", None), refusal.line, refusal.col)
+        where = "".join(f"{part}:" for part in parts if part is not None) + " "
+    print(f"{where}error: {refusal.heading}{refusal.message}", file=sys.stderr)
+    return refusal.exit_code
 
 
 if __name__ == "__main__":

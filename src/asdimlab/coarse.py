@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from itertools import chain, product
 from typing import TYPE_CHECKING
 
+from . import Refusal
+
 
 class _Numpy:
     """numpy, imported when first used: cayley_ball refuses a ball before
@@ -39,17 +41,12 @@ DEFAULT_POINT_BUDGET = 200_000
 SEARCH_POINT_LIMIT = 24
 
 
-class BallBudgetError(ValueError):
+class BallBudgetError(Refusal):
     """A requested ball or search instance exceeds the configured budget."""
 
 
-class WitnessFormatError(Exception):
-    """Syntactically invalid witness text, carrying the offending line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(message)
-        self.message = message
-        self.line = line
+class WitnessFormatError(Refusal):
+    """Invalid witness text, carrying the offending line number."""
 
 
 @dataclass(frozen=True)
@@ -895,13 +892,13 @@ def _parse_label(label: str, lineno: int) -> FiniteMetricSpace:
         raise WitnessFormatError(f"bad radius in label {label!r}", lineno)
     try:
         spec = parse_group_spec(fields["group"])
-    except ValueError as exc:
+        # cayley_ball writes metric=induced-ball into Heisenberg3 labels only;
+        # a Heisenberg3 label may leave the field out.
+        if "metric" in fields and (fields["metric"] != "induced-ball" or spec.family != "Heisenberg3"):
+            raise ValueError(f"bad metric in label {label!r}")
+        return cayley_ball(spec, radius)
+    except ValueError as exc:  # also cayley_ball refusing the ball the label names
         raise WitnessFormatError(str(exc), lineno) from exc
-    # cayley_ball writes metric=induced-ball into Heisenberg3 labels only;
-    # a Heisenberg3 label may leave the field out.
-    if "metric" in fields and (fields["metric"] != "induced-ball" or spec.family != "Heisenberg3"):
-        raise WitnessFormatError(f"bad metric in label {label!r}", lineno)
-    return cayley_ball(spec, radius)
 
 
 def parse_witness(text: str) -> CoverWitness:
@@ -910,8 +907,9 @@ def parse_witness(text: str) -> CoverWitness:
     Family indices increase line by line; an index that skips ahead
     stands for empty families in between, which format_witness writes no
     line for.  A family index must be below the point count.  Syntactic
-    problems raise WitnessFormatError with a line number; whether the
-    witness is a valid cover is verify_cover's business.
+    problems, and a label naming a ball cayley_ball refuses, raise
+    WitnessFormatError with a line number; whether the witness is a valid
+    cover is verify_cover's business.
     """
     lines = text.splitlines()
     if len(lines) < 4:

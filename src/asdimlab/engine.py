@@ -23,11 +23,11 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 from types import MappingProxyType
 
+from . import Refusal
 from .bounds import (
     FINITE_UNKNOWN,
     UNKNOWN,
     DimBound,
-    InconsistentBoundError,
     _Record,
     field,
     finite,
@@ -60,15 +60,15 @@ from .groups import (
 )
 
 
-class UnknownRuleError(Exception):
+class UnknownRuleError(Refusal):
     pass
 
 
-class RuleArityError(Exception):
+class RuleArityError(Refusal):
     pass
 
 
-class MalformedTraceError(Exception):
+class MalformedTraceError(Refusal):
     pass
 
 
@@ -345,7 +345,7 @@ def replay(trace: ProofTrace) -> DimBound:
         ins = tuple([produced[r] for r in step.refs]) + tuple(step.literals)
         try:
             recomputed = apply_rule(step.rule_id, ins, step.params)
-        except (UnknownRuleError, RuleArityError, InconsistentBoundError, ValueError) as exc:
+        except ValueError as exc:
             raise MalformedTraceError(f"step {pos} does not replay: {exc}") from exc
         # bounds are shared, so identity settles nearly every step without __eq__
         if recomputed is not step.produced and recomputed != step.produced:
@@ -404,7 +404,7 @@ def parse_trace(text: str) -> ProofTrace:
         try:
             index = natural_int(raw_index)
             produced = parse_bound(raw_bound)
-        except (ValueError, InconsistentBoundError) as exc:
+        except ValueError as exc:
             raise MalformedTraceError(f"line {lineno + 1}: {exc}") from exc
         subject = subject_field
         refs: list[int] = []
@@ -422,7 +422,7 @@ def parse_trace(text: str) -> ProofTrace:
                         literals.append(parse_bound(token))
                     else:
                         params.append(natural_int(token))
-                except (ValueError, InconsistentBoundError) as exc:
+                except ValueError as exc:
                     raise MalformedTraceError(f"line {lineno + 1}: bad token {token!r}") from exc
         steps.append(
             TraceStep(index, rule_id, subject, produced, tuple(refs), tuple(literals), tuple(params))

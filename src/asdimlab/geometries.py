@@ -39,6 +39,7 @@ Conventions baked into the data:
 
 from __future__ import annotations
 
+from . import Refusal
 from .bounds import DimBound, _Record, record
 
 GEOMETRY_CLASSES = (
@@ -53,11 +54,11 @@ GEOMETRY_CLASSES = (
 )
 
 
-class UnknownGeometryError(Exception):
+class UnknownGeometryError(Refusal):
     """Lookup of a geometry name that does not exist at the given dimension."""
 
 
-class UnsupportedDimensionError(Exception):
+class UnsupportedDimensionError(Refusal):
     """list_geometries called outside dimensions {2, 3, 4}."""
 
 

@@ -28,7 +28,8 @@ from collections import namedtuple
 from collections.abc import Callable, Container, Iterator, Sequence
 from operator import methodcaller
 
-from .bounds import DimBound, ExtendedDim, InconsistentBoundError, _Record, natural_int, record
+from . import Refusal
+from .bounds import DimBound, ExtendedDim, _Record, natural_int, record
 from .geometries import UnknownGeometryError, lookup_geometry
 
 SURFACE_KINDS = ("spherical", "flat", "hyperbolic")
@@ -418,7 +419,7 @@ def to_canonical(expr: GroupExpr) -> str:
     return "".join(out)
 
 
-class CanonicalFormError(ValueError):
+class CanonicalFormError(Refusal):
     """Raised when canonical-form text fails to parse."""
 
 
@@ -489,7 +490,7 @@ class _Scanner:
             word = self.ident()
         try:
             return DimBound(lower, ExtendedDim.parse(word))
-        except (InconsistentBoundError, ValueError) as exc:
+        except ValueError as exc:
             raise self.error(str(exc)) from exc
 
     def made(self, offset: int, make: Callable[..., GroupExpr], *args: object) -> GroupExpr:

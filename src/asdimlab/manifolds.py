@@ -45,6 +45,7 @@ from __future__ import annotations
 import re
 from collections import deque, namedtuple
 
+from . import Refusal
 from .bounds import _Record, field, record
 from .geometries import UnknownGeometryError, lookup_geometry
 from .groups import (
@@ -68,19 +69,11 @@ EDGE_TYPES_BY_DIM = {4: ("flat3", "nil3"), 3: ("torus2", "klein2", "surface2")}
 VERDICT_STATUSES = ("Aspherical", "NotAspherical", "Undetermined")
 
 
-class _PositionedError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(message)
-        self.message = message
-        self.line = line
-        self.col = col
-
-
-class ManifoldParseError(_PositionedError):
+class ManifoldParseError(Refusal):
     """Syntax or source-level semantic error, carrying a (line, col) position."""
 
 
-class OutsideClassifiedCasesError(_PositionedError):
+class OutsideClassifiedCasesError(Refusal):
     """A decomposition graph mixes geometries no classified case covers."""
 
 

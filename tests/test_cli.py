@@ -2,11 +2,14 @@
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
-from conftest import FIXTURES, GOLDEN, run_fresh
+from conftest import FIXTURES, GOLDEN, SRC, run_fresh
 
 import asdimlab.cli
 import asdimlab.coarse
@@ -112,14 +115,29 @@ def test_bound_refuses_bad_programs_with_one_line(tmp_path, capsys, text, diagno
 
 
 def test_readers_refuse_undecodable_and_missing_files(tmp_path, capsys):
-    path = tmp_path / "m.mfd"
-    path.write_bytes(b"dim 3;\xff\n")
-    for argv in (["bound", str(path)], ["cover", "verify", str(path)]):
-        assert run(capsys, *argv) == (2, "", f"{path}: error: not valid UTF-8 (invalid start byte)\n")
-    missing = tmp_path / "missing.txt"
-    assert run(capsys, "cover", "verify", str(missing)) == (
-        2, "", f"{missing}: error: No such file or directory\n"
-    )
+    undecodable = tmp_path / "m.mfd"
+    undecodable.write_bytes(b"dim 3;\xff\n")
+    refusals = {
+        undecodable: "not valid UTF-8 (invalid start byte)",
+        tmp_path / "missing.txt": "No such file or directory",
+        tmp_path: "Is a directory",
+    }
+    for path, message in refusals.items():
+        for command in (["bound"], ["cover", "verify"]):
+            assert run(capsys, *command, str(path)) == (2, "", f"{path}: error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_every_bad_fixture_is_refused_as_its_golden_line(capsys, monkeypatch, fmt):
+    # the golden names each fixture by its path from the repository root
+    root = FIXTURES.parent.parent
+    monkeypatch.chdir(root)
+    lines = []
+    for path in sorted((FIXTURES / "bad").glob("*.mfd")):
+        code, out, err = run(capsys, "bound", path.relative_to(root).as_posix(), "--format", fmt)
+        assert (code, out) == (2, ""), path
+        lines.append(err)
+    assert "".join(lines) == (GOLDEN / "bad_fixtures_stderr.txt").read_text()
 
 
 def test_catalog_text(capsys):
@@ -185,15 +203,15 @@ def test_cover_verify_invalid_is_exit_1(tmp_path, capsys):
 def test_cover_verify_format_error_is_exit_2(tmp_path, capsys):
     target = tmp_path / "w.txt"
     target.write_text("coarse-witness v9\ngroup=FreeAbelian(1) radius=2\nD 2\nB 3\n")
-    code, out, err = run(capsys, "cover", "verify", str(target))
-    assert code == 2
-    assert f"{target}:1: error: " in err
+    assert run(capsys, "cover", "verify", str(target)) == (
+        2, "", f"{target}:1: error: bad header 'coarse-witness v9'\n"
+    )
 
 
 def test_cover_build_bad_rank(capsys):
-    code, out, err = run(capsys, "cover", "build", "--rank", "9", "-D", "2", "--radius", "5")
-    assert code == 2
-    assert "error:" in err
+    assert run(capsys, "cover", "build", "--rank", "9", "-D", "2", "--radius", "5") == (
+        2, "", "error: brick covers support ranks 1..3, got 9\n"
+    )
 
 
 def test_cover_search(capsys, tmp_path):
@@ -364,10 +382,8 @@ def test_oversize_balls_are_refused_without_numpy(tmp_path):
 def test_cover_verify_refuses_a_huge_label_radius(tmp_path, capsys):
     target = tmp_path / "w.txt"
     target.write_text("coarse-witness v1\ngroup=FreeGroup(2) radius=1000000\nD 1\nB 0\n0:0 0\n")
-    code, out, err = run(capsys, "cover", "verify", str(target))
-    assert code == 2 and out == ""
-    assert "more than 200000 points" in err
-    assert err.startswith(f"{target}:2: error: ")
+    budget = "FreeGroup(2) ball of radius 1000000 has more than 200000 points, the point budget"
+    assert run(capsys, "cover", "verify", str(target)) == (2, "", f"{target}:2: error: {budget}\n")
     target.write_text("coarse-witness v1\ngroup=FreeGroup(2) radius=" + "1" * 5000 + "\nD 1\nB 0\n0:0 0\n")
     code, out, err = run(capsys, "cover", "verify", str(target))
     assert code == 2 and out == ""
@@ -376,6 +392,22 @@ def test_cover_verify_refuses_a_huge_label_radius(tmp_path, capsys):
     code, out, err = run(capsys, "cover", "verify", str(target))
     assert code == 2 and out == ""
     assert err == f"{target}:2: error: radius must be positive, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "lines,diagnostic",
+    [
+        (["coarse-witness v1", "group=FreeAbelian(1) radius=2", "D 2", "B 3", "0:0 9"],
+         "5: error: point index 9 out of range for 5-point space"),
+        (["coarse-witness v1", "group=Foo(1) radius=2", "D 2", "B 3", "0:0 0"],
+         "2: error: bad group spec 'Foo(1)'"),
+    ],
+    ids=["point-index", "group"],
+)
+def test_cover_verify_refuses_a_bad_witness_at_its_line(tmp_path, capsys, lines, diagnostic):
+    target = tmp_path / "w.txt"
+    target.write_text("".join(line + "\n" for line in lines))
+    assert run(capsys, "cover", "verify", str(target)) == (2, "", f"{target}:{diagnostic}\n")
 
 
 @pytest.mark.parametrize(
@@ -417,11 +449,53 @@ def test_cover_verify_checks_a_label_past_the_old_matrix_limit(tmp_path, capsys)
 )
 def test_cover_output_write_error_is_exit_2(tmp_path, capsys, argv):
     target = tmp_path / "missing" / "w.txt"
-    code, out, err = run(capsys, *argv, "-o", str(target))
-    assert code == 2
-    assert "wrote" not in out
-    assert err.startswith(f"{target}: error: ") and err.count("\n") == 1
+    found = "k=1\n" if argv[1] == "search" else ""
+    assert run(capsys, *argv, "-o", str(target)) == (
+        2, found, f"{target}: error: No such file or directory\n"
+    )
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("cover", "build", "--rank", "1", "-D", "0", "--radius", "5"),
+         "separation D must be positive, got 0"),
+        (("cover", "search", "--group", "FreeAbelian(1)", "--radius", "4", "-D", "0", "-B", "3"),
+         "D and B must be positive"),
+        (("cover", "search", "--group", "FreeAbelian(1)", "--radius", "4", "-D", "1", "-B", "0"),
+         "D and B must be positive"),
+        (("cover", "search", "--group", "FreeAbelian(1)", "--radius", "4", "-D", "1", "-B", "3",
+          "--k-max", "5"), "k_max must be 1..4, got 5"),
+    ],
+    ids=["D", "search-D", "search-B", "k-max"],
+)
+def test_bad_arguments_are_refused_without_a_position(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # fits in stdout's buffer, so it meets the closed pipe when main flushes
+        ("bound", str(FIXTURES / "d3_h3.mfd"), "--trace"),
+        # 11 kB, more than the buffer holds, so a write inside the handler fails
+        ("cover", "build", "--rank", "2", "-D", "1", "--radius", "30"),
+    ],
+    ids=["at-flush", "in-handler"],
+)
+def test_a_closed_stdout_is_refused_with_exit_2(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will read: every write to the pipe fails
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "asdimlab.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"<stdout>: error: Broken pipe\n")
 
 
 # Runs commands in a fresh interpreter and reports, after each, its exit
@@ -533,6 +607,6 @@ def test_inconsistent_bound_maps_to_exit_3(capsys, monkeypatch):
         raise InconsistentBoundError("lower bound 4 exceeds upper bound 0")
 
     monkeypatch.setattr(asdimlab.engine, "bound", explode)
-    code, out, err = run(capsys, "bound", str(FIXTURES / "d3_h3.mfd"))
-    assert code == 3
-    assert "inconsistent" in err
+    assert run(capsys, "bound", str(FIXTURES / "d3_h3.mfd")) == (
+        3, "", "error: inconsistent bounds: lower bound 4 exceeds upper bound 0\n"
+    )

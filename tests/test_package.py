@@ -13,12 +13,28 @@ SUBMODULES = ("bounds", "cli", "coarse", "engine", "geometries", "groups", "mani
 
 
 def test_every_public_name_is_the_object_its_submodule_defines():
-    assert len(asdimlab.__all__) == len(set(asdimlab.__all__)) == 72
+    assert len(asdimlab.__all__) == len(set(asdimlab.__all__)) == 73
     for name in asdimlab.__all__:
         value = getattr(asdimlab, name)
         home = value.__module__
-        assert home.startswith("asdimlab."), name
+        # Refusal, the base of every exception class, is the package's own
+        assert home.startswith("asdimlab.") or (home, name) == ("asdimlab", "Refusal"), name
         assert getattr(importlib.import_module(home), name) is value, name
+
+
+def test_every_public_exception_is_a_refusal_with_its_exit_code():
+    classes = {
+        name: value for name in asdimlab.__all__
+        if isinstance(value := getattr(asdimlab, name), type) and issubclass(value, BaseException)
+    }
+    assert len(classes) == 12  # Refusal and the 11 classes on it
+    for name, cls in classes.items():
+        assert issubclass(cls, asdimlab.Refusal) and issubclass(cls, ValueError), name
+        assert cls.exit_code == (3 if name == "InconsistentBoundError" else 2), name
+    refusal = asdimlab.coarse.WitnessFormatError("bad header 'x'", 1)
+    assert (str(refusal), refusal.message, refusal.line, refusal.col, refusal.path) == (
+        "bad header 'x'", "bad header 'x'", 1, None, None
+    )
 
 
 def test_submodules_resolve_as_attributes_of_a_fresh_package():
