@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import io
 import os
 import sys
 
@@ -216,8 +217,13 @@ def cmd_cover_search(args: argparse.Namespace) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):  # one refusal line, with no usage block
+        raise Refusal(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="asdimlab",
         description="Certified asymptotic-dimension bounds for manifold"
         " fundamental groups, plus a finite-scale cover laboratory.",
@@ -263,15 +269,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    stdout, args = sys.stdout, None
+    if isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        # unbuffered (-u, PYTHONUNBUFFERED) drops the tail of a short write, as a
+        # pipe whose reader has gone makes, with no error; a buffered one fails
+        sys.stdout = open(stdout.fileno(), "w", encoding=stdout.encoding, errors=stdout.errors, closefd=False)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 0 after --help, 2 on bad arguments
-        return exc.code
-    try:
+        args = _build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # so that a closed stdout is refused here, not at exit
         return code
+    except SystemExit as exc:  # argparse exits 0 after --help
+        return exc.code
     except ValueError as exc:
         refusal = exc if isinstance(exc, Refusal) else Refusal(str(exc))
     except RecursionError:
@@ -280,6 +289,10 @@ def main(argv: list[str] | None = None) -> int:
         # what stdout still buffers goes nowhere, so the flush at exit raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         refusal = Refusal(exc.strerror, path="<stdout>")
+    finally:
+        if sys.stdout is not stdout:
+            sys.stdout.close()
+            sys.stdout = stdout
     where = ""
     if refusal.path or refusal.line:  # path[:line[:col]], a line's path being the input file
         parts = (refusal.path or getattr(args, "file", None), refusal.line, refusal.col)

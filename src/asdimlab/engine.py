@@ -382,7 +382,9 @@ def trace_lines(text: str) -> list[str]:
     """The records of a trace text: split on "\\n" alone, as a subject may
     hold any other line break, less one trailing "\\r" each (CRLF text)."""
     lines = text.split("\n")
-    return [line.removesuffix("\r") for line in (lines if lines[-1] else lines[:-1])]
+    if not lines[-1]:
+        lines.pop()
+    return [line.removesuffix("\r") for line in lines] if "\r" in text else lines
 
 
 def parse_trace(text: str) -> ProofTrace:
@@ -395,6 +397,7 @@ def parse_trace(text: str) -> ProofTrace:
             parsed = bounds[token] = DimBound.parse(token)
         return parsed
 
+    new = tuple.__new__
     steps = []
     for lineno, line in enumerate(trace_lines(text)):
         fields = line.split("\t")
@@ -402,18 +405,18 @@ def parse_trace(text: str) -> ProofTrace:
             raise MalformedTraceError(f"line {lineno + 1}: expected 4 fields, got {len(fields)}")
         raw_index, rule_id, subject_field, raw_bound = fields
         try:
-            index = natural_int(raw_index)
+            # a well-formed trace numbers its steps by line
+            index = lineno if raw_index == str(lineno) else natural_int(raw_index)
             produced = parse_bound(raw_bound)
         except ValueError as exc:
             raise MalformedTraceError(f"line {lineno + 1}: {exc}") from exc
         subject = subject_field
-        refs: list[int] = []
-        literals: list[DimBound] = []
-        params: list[int] = []
+        refs = literals = params = ()
         head, arrow, tail = subject_field.rpartition(" <- ")
         # Input tokens never hold '"', so a tail that does is part of a label.
         if arrow and '"' not in tail:
             subject = head
+            refs, literals, params = [], [], []
             for token in tail.split(" "):
                 try:
                     if token.startswith("@"):
@@ -424,9 +427,8 @@ def parse_trace(text: str) -> ProofTrace:
                         params.append(natural_int(token))
                 except ValueError as exc:
                     raise MalformedTraceError(f"line {lineno + 1}: bad token {token!r}") from exc
-        steps.append(
-            TraceStep(index, rule_id, subject, produced, tuple(refs), tuple(literals), tuple(params))
-        )
+            refs, literals, params = tuple(refs), tuple(literals), tuple(params)
+        steps.append(new(TraceStep, (index, rule_id, subject, produced, refs, literals, params)))
     return ProofTrace(tuple(steps))
 
 

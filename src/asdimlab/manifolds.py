@@ -38,6 +38,10 @@ The asphericity verdict follows the classification of
 geometric decompositions of closed 4-manifolds (Hillman) and its dim-3
 counterpart; vertex-geometry mixtures outside the classified cases raise
 OutsideClassifiedCasesError, the compiler's only failure mode.
+
+The parser lexes the text with one regular-expression split and reads
+each statement straight off the token list; a position is worked out, from
+the token lengths, only for a refusal and for each graph's ``pos``.
 """
 
 from __future__ import annotations
@@ -136,37 +140,49 @@ class CompileResult(namedtuple("CompileResult", "expr verdict")):
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Lexer and parser
 
 
-class _Token(namedtuple("_Token", "text offset kind")):
-    # kind: "name", "punct" or "eof"
-    __slots__ = ()
-
-    def describe(self) -> str:
-        return "end of input" if self.kind == "eof" else repr(self.text)
-
-
-# One match per token: the blanks, line breaks and comments before it, then
-# one alternative per lexeme, the name of the group that matched being its
-# kind.  The end-of-input alternative lets the last match take the trailing
-# blanks, so they are read once, not retried position by position, and an
-# unexpected character takes the rest of the input, so it ends the tokens.
+# One split of the whole text.  Each match is the blanks, line breaks and
+# comments before a token, then the token, so the parts run: "" (between two
+# matches), the blanks before token k, token k, for k = 0, 1, ...  The longest
+# blanks come first and some token always follows, so no match backs up into
+# a comment.  An unexpected character takes the rest of the input as one
+# token; the end of input is "", twice when trailing blanks come before it.
 _LEXEME = re.compile(
-    r"(?:[ \t\r\n]+|--[^\n]*)*"
-    f"(?:(?P<punct>[;{{}}#])|(?P<name>[{re.escape(''.join(sorted(_NAME_CHARS)))}]+)"
-    r"|(?P<eof>\Z)|(?P<other>.)(?s:.*))"
+    r"([ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*)"
+    f"([;{{}}#]|[{re.escape(''.join(sorted(_NAME_CHARS)))}]+|\\Z|(?s:.+))"
 )
 
+_PUNCTUATION = frozenset(";{}#")
+_NOT_NAMES = _PUNCTUATION | {""}  # "" is the end of input
+_NOT_VERTEX_NAMES = _NOT_NAMES | RESERVED_WORDS
 
-class _Lines:
-    """1-based (line, col) of offsets into a text.  Each answer starts from
-    the last one, so offsets asked for in increasing order cost time linear
-    in the text in total."""
+
+def _describe(token: str) -> str:
+    return repr(token) if token else "end of input"
+
+
+class _Source:
+    """A text's tokens, and the checks that refuse token k at its position:
+    the lengths of the parts before it, counted on from the last position
+    asked for, so that increasing ones cost time linear in the text.  A
+    comment takes up no columns, so the end of input after one on the last
+    line sits at the comment's start."""
 
     def __init__(self, text: str):
-        self.text = text
+        parts = _LEXEME.split(text)
+        self.text, self.parts, self.tokens = text, parts, parts[2::3]
+        # No token holds "-", so a "--" on the last line starts a comment.
+        comment = text.find("--", text.rfind("\n") + 1)
+        self.end = comment if comment >= 0 else len(text)
+        self.part, self.part_offset = 2, len(parts[1])  # token 0 and where it starts
         self.offset, self.line, self.line_start = 0, 1, 0
+        # before any grammar error: an unexpected character ends the tokens
+        last = self.tokens[-2] if len(self.tokens) > 1 else ""
+        if last and last[0] not in _NAME_CHARS and last[0] not in _PUNCTUATION:
+            raise ManifoldParseError(f"unexpected character {last[0]!r}", *self.at(len(text) - len(last)))
+        self.tokens += ("",) * 4  # so that a statement may read past the end
 
     def at(self, offset: int) -> tuple[int, int]:
         if offset < self.offset:
@@ -177,96 +193,66 @@ class _Lines:
         self.offset = offset
         return self.line, offset - self.line_start + 1
 
+    def position(self, k: int) -> tuple[int, int]:
+        parts, part = self.parts, 3 * k + 2
+        if part >= len(parts) or not parts[part]:
+            return self.at(self.end)
+        if part < self.part:
+            self.part, self.part_offset = 2, len(parts[1])
+        self.part_offset += sum(map(len, parts[self.part : part]))
+        self.part = part
+        return self.at(self.part_offset)
 
-def _lex(text: str) -> list[_Token]:
-    """Tokens with their offsets, one regular-expression match each.  A
-    comment takes up no columns, so end of input right after one sits at
-    the comment's start."""
-    new = tuple.__new__
-    tokens = [
-        new(_Token, (m.group(kind), m.start(kind), kind))
-        for m in _LEXEME.finditer(text)
-        for kind in (m.lastgroup,)
-    ]
-    # A last match that is not empty leaves room for one more, an empty eof.
-    if len(tokens) > 1 and tokens[-2].kind in ("eof", "other"):
-        del tokens[-1]
-    last = tokens[-1]
-    if last.kind == "other":
-        raise ManifoldParseError(f"unexpected character {last.text!r}", *_Lines(text).at(last.offset))
-    # No token holds "-", so a "--" on the last line starts a comment.
-    comment = text.find("--", text.rfind("\n") + 1)
-    if comment >= 0:
-        tokens[-1] = new(_Token, ("", comment, "eof"))
-    return tokens
+    def fail(self, k: int, message: str) -> None:
+        raise ManifoldParseError(message, *self.position(k))
 
+    def expect(self, k: int, token: str) -> None:
+        if self.tokens[k] != token:
+            self.fail(k, f"expected {token!r}, found {_describe(self.tokens[k])}")
 
-# ---------------------------------------------------------------------------
-# Parser
+    def name(self, k: int, what: str) -> str:
+        token = self.tokens[k]
+        if token in _NOT_NAMES:
+            self.fail(k, f"expected {what}, found {_describe(token)}")
+        return token
 
+    def fresh(self, k: int, what: str, taken: set[str]) -> str:
+        token = self.name(k, what)
+        if token in RESERVED_WORDS:
+            self.fail(k, f"{token!r} is a reserved word")
+        if token in taken:
+            self.fail(k, f"duplicate name {token!r}")
+        return token
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _lex(text)
-        self.pos = 0
-        self.lines = _Lines(text)
+    def geometry(self, k: int, dim: int, known: set[str]) -> str:
+        """A geometry name, looked up once per parse."""
+        token = self.name(k, "a geometry name")
+        if token not in known:
+            try:
+                lookup_geometry(token, dim)
+            except UnknownGeometryError as exc:
+                self.fail(k, str(exc))
+            known.add(token)
+        return token
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def boolean(self, k: int) -> bool:
+        token = self.tokens[k]
+        if token not in ("true", "false"):
+            self.fail(k, f"expected 'true' or 'false', found {_describe(token)}")
+        return token == "true"
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def fail(self, tok: _Token, message: str) -> None:
-        raise ManifoldParseError(message, *self.lines.at(tok.offset))
-
-    def expect_punct(self, ch: str) -> _Token:
-        tok = self.advance()
-        if tok.kind != "punct" or tok.text != ch:
-            self.fail(tok, f"expected {ch!r}, found {tok.describe()}")
-        return tok
-
-    def expect_name(self, what: str) -> _Token:
-        tok = self.advance()
-        if tok.kind != "name":
-            self.fail(tok, f"expected {what}, found {tok.describe()}")
-        return tok
-
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.advance()
-        if tok.kind != "name" or tok.text != word:
-            self.fail(tok, f"expected '{word}', found {tok.describe()}")
-        return tok
-
-    def expect_bool(self) -> bool:
-        tok = self.expect_name("'true' or 'false'")
-        if tok.text not in ("true", "false"):
-            self.fail(tok, f"expected 'true' or 'false', found {tok.describe()}")
-        return tok.text == "true"
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and tok.text == word
-
-    def geometry(self, dim: int) -> str:
-        tok = self.expect_name("a geometry name")
-        try:
-            lookup_geometry(tok.text, dim)
-        except UnknownGeometryError as exc:
-            self.fail(tok, str(exc))
-        return tok.text
-
-    def fresh_name(self, what: str, taken: dict[str, _Token]) -> str:
-        tok = self.expect_name(what)
-        if tok.text in RESERVED_WORDS:
-            self.fail(tok, f"{tok.text!r} is a reserved word")
-        if tok.text in taken:
-            self.fail(tok, f"duplicate name {tok.text!r}")
-        taken[tok.text] = tok
-        return tok.text
+    def refuse_edge(self, k: int, ids: set[str], dim: int) -> None:
+        """Refuse the edge declaration at token k, one part of which is wrong."""
+        for end in (k + 1, k + 2):
+            self.name(end, "a vertex name")
+        for end in (k + 1, k + 2):
+            if self.tokens[end] not in ids:
+                self.fail(end, f"edge endpoint {self.tokens[end]!r} is not a declared vertex")
+        edge_type = self.name(k + 3, "an edge type")
+        if edge_type not in EDGE_TYPES_BY_DIM[dim]:
+            allowed = "/".join(EDGE_TYPES_BY_DIM[dim])
+            self.fail(k + 3, f"edge type {edge_type!r} is not valid in a dim-{dim} program (use {allowed})")
+        self.expect(k + 4, ";")
 
 
 def parse_manifold(text: str) -> ManifoldDesc:
@@ -276,115 +262,110 @@ def parse_manifold(text: str) -> ManifoldDesc:
     geometries, dimension mismatches, undeclared vertices or summands,
     disconnected graphs, and sum-statement coverage.
     """
-    p = _Parser(text)
-    p.expect_keyword("dim")
-    dim_tok = p.expect_name("a dimension")
-    if dim_tok.text not in ("3", "4"):
-        p.fail(dim_tok, f"dimension must be 3 or 4, found {dim_tok.describe()}")
-    dim = int(dim_tok.text)
-    p.expect_punct(";")
+    src = _Source(text)
+    tokens = src.tokens
+    src.expect(0, "dim")
+    if src.name(1, "a dimension") not in ("3", "4"):
+        src.fail(1, f"dimension must be 3 or 4, found {_describe(tokens[1])}")
+    dim = int(tokens[1])
+    src.expect(2, ";")
+    edge_types = EDGE_TYPES_BY_DIM[dim]
 
-    declared: dict[str, _Token] = {}
+    known: set[str] = set()  # geometry names looked up
+    declared: set[str] = set()
     summands: list[Summand] = []
-    sum_names: list[_Token] | None = None
-    sum_tok: _Token | None = None
+    sum_at: int | None = None  # the sum statement's token, then those of its names
+    listed_at: list[int] = []
     alexandrov = False
     singular = False
 
-    while p.peek().kind != "eof":
-        tok = p.peek()
-        if p.at_keyword("piece"):
-            p.advance()
-            name = p.fresh_name("a summand name", declared)
-            geometry = p.geometry(dim)
-            p.expect_punct(";")
+    i = 3
+    while tokens[i]:
+        word = tokens[i]
+        if word == "piece":
+            name = src.fresh(i + 1, "a summand name", declared)
+            declared.add(name)
+            geometry = src.geometry(i + 2, dim, known)
+            src.expect(i + 3, ";")
             summands.append(GeometricPiece(name, geometry))
-        elif p.at_keyword("graph"):
-            p.advance()
-            name_tok = p.peek()
-            name = p.fresh_name("a graph name", declared)
-            p.expect_punct("{")
-            vert_tokens: dict[str, _Token] = {}
+            i += 4
+        elif word == "graph":
+            at = i + 1
+            name = src.fresh(at, "a graph name", declared)
+            declared.add(name)
+            src.expect(i + 2, "{")
+            i += 3
+            ids: set[str] = set()
             vertices: list[GraphVertex] = []
-            while p.at_keyword("v"):
-                p.advance()
-                vid = p.fresh_name("a vertex name", vert_tokens)
-                vertices.append(GraphVertex(vid, p.geometry(dim)))
-                p.expect_punct(";")
+            while tokens[i] == "v":
+                vid, geometry, semi = tokens[i + 1], tokens[i + 2], tokens[i + 3]
+                if vid in ids or vid in _NOT_VERTEX_NAMES or geometry not in known or semi != ";":
+                    src.fresh(i + 1, "a vertex name", ids)
+                    src.geometry(i + 2, dim, known)
+                    src.expect(i + 3, ";")
+                ids.add(vid)
+                vertices.append(GraphVertex(vid, geometry))
+                i += 4
             edges: list[GraphEdge] = []
-            while p.at_keyword("e"):
-                p.advance()
-                a_tok = p.expect_name("a vertex name")
-                b_tok = p.expect_name("a vertex name")
-                for t in (a_tok, b_tok):
-                    if t.text not in vert_tokens:
-                        p.fail(t, f"edge endpoint {t.text!r} is not a declared vertex")
-                type_tok = p.expect_name("an edge type")
-                if type_tok.text not in EDGE_TYPES_BY_DIM[dim]:
-                    allowed = "/".join(EDGE_TYPES_BY_DIM[dim])
-                    p.fail(
-                        type_tok,
-                        f"edge type {type_tok.text!r} is not valid in a dim-{dim} program"
-                        f" (use {allowed})",
-                    )
-                p.expect_punct(";")
-                edges.append(GraphEdge(a_tok.text, b_tok.text, type_tok.text))
-            p.expect_keyword("pi1_injective")
-            injective = p.expect_bool()
-            p.expect_punct(";")
-            p.expect_punct("}")
+            while tokens[i] == "e":
+                a, b, edge_type, semi = tokens[i + 1 : i + 5]
+                if a not in ids or b not in ids or edge_type not in edge_types or semi != ";":
+                    src.refuse_edge(i, ids, dim)
+                edges.append(GraphEdge(a, b, edge_type))
+                i += 5
+            src.expect(i, "pi1_injective")
+            injective = src.boolean(i + 1)
+            src.expect(i + 2, ";")
+            src.expect(i + 3, "}")
+            i += 4
             if not vertices:
-                p.fail(name_tok, f"graph {name!r} declares no vertices")
-            graph = DecompGraph(
-                name, tuple(vertices), tuple(edges), injective, pos=p.lines.at(name_tok.offset)
-            )
+                src.fail(at, f"graph {name!r} declares no vertices")
+            graph = DecompGraph(name, tuple(vertices), tuple(edges), injective, pos=src.position(at))
             if len(graph.tree[0]) != len(vertices) - 1:
-                p.fail(name_tok, f"graph {name!r} is not connected")
+                src.fail(at, f"graph {name!r} is not connected")
             summands.append(graph)
-        elif p.at_keyword("sum"):
-            tok = p.advance()
-            if sum_names is not None:
-                p.fail(tok, "duplicate sum statement")
-            sum_tok = tok
-            sum_names = [p.expect_name("a summand name")]
-            while p.peek().kind == "punct" and p.peek().text == "#":
-                p.advance()
-                sum_names.append(p.expect_name("a summand name"))
-            p.expect_punct(";")
-        elif p.at_keyword("alexandrov"):
-            tok = p.advance()
+        elif word == "sum":
+            if sum_at is not None:
+                src.fail(i, "duplicate sum statement")
+            sum_at, listed_at = i, [i + 1]
+            while tokens[listed_at[-1] + 1] == "#":
+                listed_at.append(listed_at[-1] + 2)
+            for k in listed_at:
+                src.name(k, "a summand name")
+            i = listed_at[-1] + 1
+            src.expect(i, ";")
+            i += 1
+        elif word == "alexandrov":
             if dim != 3:
-                p.fail(tok, "alexandrov applies to dim-3 programs only")
+                src.fail(i, "alexandrov applies to dim-3 programs only")
             if alexandrov:
-                p.fail(tok, "duplicate alexandrov statement")
+                src.fail(i, "duplicate alexandrov statement")
             alexandrov = True
-            singular = p.expect_bool()
-            p.expect_punct(";")
+            singular = src.boolean(i + 1)
+            src.expect(i + 2, ";")
+            i += 3
         else:
-            p.fail(tok, f"expected piece, graph, sum or alexandrov, found {tok.describe()}")
+            src.fail(i, f"expected piece, graph, sum or alexandrov, found {_describe(word)}")
 
-    eof = p.peek()
     if not summands:
-        p.fail(eof, "program declares no summands")
-    if sum_names is None:
+        src.fail(i, "program declares no summands")
+    if sum_at is None:
         if len(summands) > 1:
-            p.fail(eof, "programs with more than one summand need a sum statement")
-        ordered = summands
-    else:
-        listed: dict[str, _Token] = {}
-        for tok in sum_names:
-            if tok.text not in declared:
-                p.fail(tok, f"sum references undeclared summand {tok.text!r}")
-            if tok.text in listed:
-                p.fail(tok, f"summand {tok.text!r} listed twice in sum")
-            listed[tok.text] = tok
-        missing = [n for n in declared if n not in listed]
-        if missing:
-            assert sum_tok is not None
-            p.fail(sum_tok, "sum omits declared summands: " + ", ".join(missing))
-        by_name = {s.name: s for s in summands}
-        ordered = [by_name[tok.text] for tok in sum_names]
-    return ManifoldDesc(dim, tuple(ordered), alexandrov, singular)
+            src.fail(i, "programs with more than one summand need a sum statement")
+        return ManifoldDesc(dim, tuple(summands), alexandrov, singular)
+    listed: set[str] = set()
+    for k in listed_at:
+        name = tokens[k]
+        if name not in declared:
+            src.fail(k, f"sum references undeclared summand {name!r}")
+        if name in listed:
+            src.fail(k, f"summand {name!r} listed twice in sum")
+        listed.add(name)
+    missing = [s.name for s in summands if s.name not in listed]
+    if missing:
+        src.fail(sum_at, "sum omits declared summands: " + ", ".join(missing))
+    by_name = {s.name: s for s in summands}
+    return ManifoldDesc(dim, tuple([by_name[tokens[k]] for k in listed_at]), alexandrov, singular)
 
 
 # ---------------------------------------------------------------------------

@@ -498,6 +498,45 @@ def test_a_closed_stdout_is_refused_with_exit_2(argv):
     assert (proc.returncode, proc.stderr) == (2, b"<stdout>: error: Broken pipe\n")
 
 
+def test_an_unbuffered_stdout_closed_after_one_line_is_refused_with_exit_2():
+    # unbuffered, a write is one system call, and a pipe whose reader has gone
+    # takes part of it; the rest must fail loudly, not be dropped
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "asdimlab.cli", "cover", "build", "--rank", "2", "-D", "1",
+         "--radius", "300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1"),
+    )
+    with proc:
+        assert proc.stdout.readline() == b"coarse-witness v1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (2, b"<stdout>: error: Broken pipe\n")
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (("cover", "build", "--rank", "x", "-D", "1", "--radius", "2"),
+         "error: argument --rank: invalid int value: 'x'\n"),
+        (("cover", "build", "-D", "1", "--radius", "2"),
+         "error: the following arguments are required: --rank\n"),
+    ],
+    ids=["bad-int", "missing-flag"],
+)
+def test_arguments_that_do_not_parse_are_one_refusal_line(capsys, argv, line):
+    assert run(capsys, *argv) == (2, "", line)
+
+
+def test_an_unknown_subcommand_is_one_refusal_line(capsys):
+    code, out, err = run(capsys, "nope")
+    assert (code, out) == (2, "")
+    # the list of choices is worded differently from one Python version to the next
+    assert err.startswith("error: argument command: invalid choice: 'nope'")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 # Runs commands in a fresh interpreter and reports, after each, its exit
 # code, its stdout and which of the lazily imported modules are loaded.
 _FRESH_CHILD = """

@@ -1,8 +1,11 @@
 """DSL parsing, rendering, and compilation to group expressions."""
 
+import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, run_fresh
 
@@ -146,6 +149,36 @@ def test_a_megabyte_of_blanks_and_comments_is_refused_quickly(unit):
     with pytest.raises(ManifoldParseError, match="expected 'dim', found end of input"):
         parse_manifold(text)
     assert time.perf_counter() - start < 0.5
+
+
+_TOKEN = re.compile(r"[;{}#]|[A-Za-z0-9_~]+")
+_BLANKS = st.sampled_from((" ", "\t", "\r", "\n", "\r\n", "-- a comment; {v} #\n", "--\n"))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.data())
+def test_any_layout_of_a_rendering_parses_to_the_same_description(data):
+    path = data.draw(st.sampled_from(ALL_FIXTURES), label="fixture")
+    desc = parse_manifold(path.read_text())
+    tokens = _TOKEN.findall(render(desc))
+    pieces, graph_names = [], {}
+    for k, token in enumerate(tokens):
+        # two names need a blank between them; punctuation needs none
+        apart = k > 0 and tokens[k - 1][0] not in ";{}#" and token[0] not in ";{}#"
+        pieces.append("".join(data.draw(st.lists(_BLANKS, min_size=apart, max_size=3))))
+        if k > 0 and tokens[k - 1] == "graph":
+            graph_names[token] = len("".join(pieces))
+        pieces.append(token)
+    # the input may end in a comment with no line break after it
+    pieces.append(data.draw(st.sampled_from(("", "\n", " -- end", "\r\n-- end"))))
+    text = "".join(pieces)
+    again = parse_manifold(text)
+    assert again == desc
+    for s in again.summands:
+        if isinstance(s, DecompGraph):
+            offset = graph_names[s.name]
+            line_start = text.rfind("\n", 0, offset) + 1
+            assert s.pos == (text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 def test_outside_classified_cases_carries_a_position():
