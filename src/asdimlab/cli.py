@@ -271,8 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     stdout, args = sys.stdout, None
     if isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
-        # unbuffered (-u, PYTHONUNBUFFERED) drops the tail of a short write, as a
-        # pipe whose reader has gone makes, with no error; a buffered one fails
+        # an unbuffered stdout (-u, PYTHONUNBUFFERED) silently drops what a short
+        # write leaves, as when the pipe's reader goes; a buffered one writes on and fails
         sys.stdout = open(stdout.fileno(), "w", encoding=stdout.encoding, errors=stdout.errors, closefd=False)
     try:
         args = _build_parser().parse_args(argv)

@@ -274,7 +274,7 @@ def parse_manifold(text: str) -> ManifoldDesc:
     known: set[str] = set()  # geometry names looked up
     declared: set[str] = set()
     summands: list[Summand] = []
-    sum_at: int | None = None  # the sum statement's token, then those of its names
+    sum_at: int | None = None  # the sum statement's token, and those of the names it lists
     listed_at: list[int] = []
     alexandrov = False
     singular = False
