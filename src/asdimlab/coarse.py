@@ -13,7 +13,9 @@ Everything here is a fixed-scale experiment: a witness certifies one
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, product
 from typing import TYPE_CHECKING
 
@@ -127,6 +129,22 @@ class FiniteMetricSpace:
                 raise ValueError(f"triangle inequality fails through point {k}")
 
 
+class _AbelianBall(FiniteMetricSpace):
+    """A free abelian ball, which keeps its points as the coordinates of its
+    L1Distances and builds the points tuple only when it is first read."""
+
+    def __init__(self, dist: L1Distances, label: str):
+        self.dist = dist
+        self.label = label
+
+    def __len__(self) -> int:
+        return self.dist.shape[0]
+
+    @cached_property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.dist.axes.tolist()))
+
+
 def _ball_count(spec: GroupSpec, r: int, limit: int) -> int:
     """Closed-form point count of a FreeAbelian or FreeGroup ball, or
     limit + 1 when it is larger than limit.
@@ -154,7 +172,8 @@ def cayley_ball(
     """Ball of the given radius around the identity, in the word metric.
 
     No ball holds a distance matrix: a free abelian ball computes L1
-    distances from its coordinates (L1Distances), a free group ball word
+    distances from its coordinates (L1Distances) and builds its points
+    tuple only when it is read (_AbelianBall), a free group ball word
     distances from its words' breadth-first positions (WordDistances).
     Heisenberg3 keeps the ball's Cayley graph and uses breadth-first
     distances inside the ball (InducedDistances), which can exceed the
@@ -180,10 +199,8 @@ def cayley_ball(
         )
     label = f"group={spec} radius={radius}"
     if spec.family == "FreeAbelian":
-        axes = _abelian_points(spec.rank, radius)
-        points = zip(*axes.tolist())
-        dist = L1Distances(axes, radius)
-    elif spec.family == "FreeGroup":
+        return _AbelianBall(L1Distances(_abelian_points(spec.rank, radius), radius), label)
+    if spec.family == "FreeGroup":
         points = _free_words(spec.rank, radius)
         dist = WordDistances(spec.rank, radius)
     else:
@@ -626,13 +643,24 @@ def verify_cover(witness: CoverWitness) -> CoverReport:
     Violations name the family/subset pair and the offending distance; the
     verdict is data, not an exception.  A family's diameters and close
     subsets come from the space's own oracle, whatever its size, which for
-    a ball compares only members within D of each other.
+    a ball compares only members within D of each other.  A family with no
+    empty subset and no index out of range is read by min, max and
+    set.update alone; only another is walked subset by subset.
     """
     space = witness.space
     n = len(space)
     violations: list[str] = []
     covered: set[int] = set()
+    # Per family, the numbers of its subsets that keep a point in range,
+    # and those points.
+    checked = []
     for f, family in enumerate(witness.families):
+        if (all(family) and min(map(min, family), default=0) >= 0
+                and max(map(max, family), default=0) < n):
+            covered.update(*family)
+            checked.append((range(len(family)), family))
+            continue
+        names, clean = [], []
         for s, subset in enumerate(family):
             if not subset:
                 violations.append(f"family {f} subset {s} is empty")
@@ -642,28 +670,28 @@ def verify_cover(witness: CoverWitness) -> CoverReport:
                     violations.append(
                         f"family {f} subset {s} references point {idx}, outside 0..{n - 1}"
                     )
-            covered.update(i for i in subset if 0 <= i < n)
-    for i in range(n):
-        if i not in covered:
-            violations.append(f"point {i} at {space.points[i]} is uncovered")
+            inside = [i for i in subset if 0 <= i < n]
+            if inside:
+                covered.update(inside)
+                names.append(s)
+                clean.append(inside)
+        checked.append((names, clean))
+    if len(covered) < n:
+        violations.extend(
+            f"point {i} at {space.points[i]} is uncovered" for i in range(n) if i not in covered
+        )
     dist = space.dist
     recomputed = 0
-    for f, family in enumerate(witness.families):
-        clean = [
-            (s, [i for i in subset if 0 <= i < n]) for s, subset in enumerate(family)
-        ]
-        clean = [(s, subset) for s, subset in clean if subset]
+    for f, (names, clean) in enumerate(checked):
         if not clean:
             continue
-        sizes = [len(subset) for _, subset in clean]
-        members = np.fromiter(
-            chain.from_iterable(subset for _, subset in clean), dtype=np.intp, count=sum(sizes)
-        )
+        sizes = list(map(len, clean))
+        members = np.fromiter(chain.from_iterable(clean), dtype=np.intp, count=sum(sizes))
         runs = np.repeat(np.arange(len(sizes)), sizes)
         recomputed = max(recomputed, dist.diameter(members, runs))
         for (a, b), gap in _close_pairs(dist, members, runs, witness.D):
             violations.append(
-                f"family {f}: subsets {clean[a][0]} and {clean[b][0]} are at distance {gap},"
+                f"family {f}: subsets {names[a]} and {names[b]} are at distance {gap},"
                 f" need more than D={witness.D}"
             )
     if recomputed != witness.B:
@@ -864,6 +892,11 @@ def format_witness(witness: CoverWitness) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+# A subset line's body as format_witness writes it: numerals as str()
+# writes them for integers n >= 0, joined by commas.
+_INDEX_LIST = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
+
+
 def _natural(text: str) -> int | None:
     """The value of a numeral as str() writes one for an integer n >= 0, or
     None: for a sign, space, underscore, leading zero or non-ASCII digit,
@@ -910,8 +943,18 @@ def parse_witness(text: str) -> CoverWitness:
     problems, and a label naming a ball cayley_ball refuses, raise
     WitnessFormatError with a line number; whether the witness is a valid
     cover is verify_cover's business.
+
+    Records end at "\n" alone, less one trailing "\r" each (CRLF text), so
+    no other line break character can split a line.  A subset line whose
+    body is a list of numerals is read in one step; any other body, an
+    index past the space, a repeat or a numeral too long for int() sends
+    it through the piece-by-piece walk that words the refusal.
     """
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if "\r" in text:
+        lines = [line.removesuffix("\r") for line in lines]
     if len(lines) < 4:
         raise WitnessFormatError("witness needs header, label, D and B lines", len(lines) + 1)
     if lines[0] != "coarse-witness v1":
@@ -948,7 +991,15 @@ def parse_witness(text: str) -> CoverWitness:
             raise WitnessFormatError(
                 f"subset index {idx} out of order in family {fam}", lineno
             )
-        subset: list[int] = []
+        if _INDEX_LIST.fullmatch(body):
+            try:
+                subset = list(map(int, body.split(",")))
+            except ValueError:  # more digits than int() converts
+                subset = []
+            if subset and max(subset) < n and len(set(subset)) == len(subset):
+                families[fam].append(subset)
+                continue
+        subset = []
         seen: set[int] = set()
         for piece in body.split(","):
             i = _natural(piece)

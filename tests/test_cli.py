@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from conftest import FIXTURES, GOLDEN, SRC, run_fresh
+from test_witness_refusals import LINE_BREAKS
 
 import asdimlab.cli
 import asdimlab.coarse
@@ -198,6 +199,31 @@ def test_cover_verify_invalid_is_exit_1(tmp_path, capsys):
     assert code == 1
     assert "violation:" in out
     assert out.rstrip().endswith("violation(s)")
+
+
+@pytest.mark.parametrize("char", LINE_BREAKS, ids=[f"U+{ord(c):04X}" for c in LINE_BREAKS])
+def test_witness_records_end_at_a_newline_alone(tmp_path, capsys, char):
+    # Any other line break character stays inside its line, so a refusal
+    # names a line of the file and quotes all of it.
+    target = tmp_path / "w.txt"
+    good = (GOLDEN / "brick_r1.txt").read_text()
+    target.write_text(good.replace("1:0 0,1,", f"1:0 0,1{char},"), newline="")
+    assert run(capsys, "cover", "verify", str(target)) == (
+        2, "", f"{target}:7: error: bad point index {'1' + char!r}\n"
+    )
+    label = f"group=Free{char}Abelian(1) radius=8"
+    target.write_text(good.replace("group=FreeAbelian(1) radius=8", label), newline="")
+    assert run(capsys, "cover", "verify", str(target)) == (
+        2, "", f"{target}:2: error: bad space label {label!r}\n"
+    )
+
+
+def test_a_crlf_witness_still_verifies(tmp_path, capsys):
+    target = tmp_path / "w.txt"
+    target.write_text((GOLDEN / "brick_r1.txt").read_text().replace("\n", "\r\n"), newline="")
+    code, out, err = run(capsys, "cover", "verify", str(target))
+    assert (code, err) == (0, "")
+    assert out == "OK: 17 points, 2 families, 3 subsets, D=2, B=5\n"
 
 
 def test_cover_verify_format_error_is_exit_2(tmp_path, capsys):

@@ -513,6 +513,26 @@ def test_verify_cover_catches_uncovered_point():
     assert any("uncovered" in v for v in report.violations)
 
 
+def test_a_valid_plane_witness_never_builds_the_point_tuple():
+    # A free abelian ball keeps its coordinates as an array; its points
+    # tuple is built when read, and the brick, witness and verify path
+    # reads it only to name an uncovered point.
+    ball = cayley_ball(GroupSpec("FreeAbelian", 2), 12)
+    witness = brick_cover(2, 2, 12)
+    back = parse_witness(format_witness(witness))
+    assert verify_cover(back).valid
+    assert len(ball) == len(back.space) == 313
+    for space in (ball, witness.space, back.space):
+        assert "points" not in vars(space)
+    victims = {0: (0, 0), 1: (-1, 0), 312: (12, 0)}
+    pruned = [[[i for i in s if i not in victims] for s in family] for family in back.families]
+    pruned = [[s for s in family if s] for family in pruned]
+    report = verify_cover(CoverWitness(back.space, pruned, back.D, back.B))
+    uncovered = [v for v in report.violations if "uncovered" in v]
+    assert uncovered == [f"point {i} at {p} is uncovered" for i, p in victims.items()]
+    assert back.space.points[312] == (12, 0)
+
+
 def test_verify_cover_catches_separation_failure():
     space = cayley_ball(GroupSpec("FreeAbelian", 1), 3)
     # points 0..6 are 0,-1,1,-2,2,-3,3; subsets {0} and {1} sit at distance 1
