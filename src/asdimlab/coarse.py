@@ -995,10 +995,11 @@ def parse_witness(text: str) -> CoverWitness:
             try:
                 subset = list(map(int, body.split(",")))
             except ValueError:  # more digits than int() converts
-                subset = []
-            if subset and max(subset) < n and len(set(subset)) == len(subset):
-                families[fam].append(subset)
-                continue
+                pass
+            else:
+                if max(subset) < n and len(set(subset)) == len(subset):
+                    families[fam].append(subset)
+                    continue
         subset = []
         seen: set[int] = set()
         for piece in body.split(","):
