@@ -993,7 +993,10 @@ def parse_witness(text: str) -> CoverWitness:
             )
         if _INDEX_LIST.fullmatch(body):
             try:
-                subset = list(map(int, body.split(",")))
+                # A comprehension, not list(map(int, ...)): tracemalloc finds
+                # the line of the frame that allocates each int, which takes
+                # a scan of that frame's code, and this frame is short.
+                subset = [int(piece) for piece in body.split(",")]
             except ValueError:  # more digits than int() converts
                 pass
             else:
