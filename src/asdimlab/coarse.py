@@ -129,20 +129,21 @@ class FiniteMetricSpace:
                 raise ValueError(f"triangle inequality fails through point {k}")
 
 
-class _AbelianBall(FiniteMetricSpace):
-    """A free abelian ball, which keeps its points as the coordinates of its
-    L1Distances and builds the points tuple only when it is first read."""
+class _Ball(FiniteMetricSpace):
+    """A Cayley ball, which keeps what its distance oracle needs and builds
+    the points tuple from make_points() only when it is first read."""
 
-    def __init__(self, dist: L1Distances, label: str):
+    def __init__(self, dist: Distances, label: str, make_points):
         self.dist = dist
         self.label = label
+        self._make_points = make_points
 
     def __len__(self) -> int:
         return self.dist.shape[0]
 
     @cached_property
     def points(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(zip(*self.dist.axes.tolist()))
+        return tuple(self._make_points())
 
 
 def _ball_count(spec: GroupSpec, r: int, limit: int) -> int:
@@ -171,12 +172,12 @@ def cayley_ball(
 ) -> FiniteMetricSpace:
     """Ball of the given radius around the identity, in the word metric.
 
-    No ball holds a distance matrix: a free abelian ball computes L1
-    distances from its coordinates (L1Distances) and builds its points
-    tuple only when it is read (_AbelianBall), a free group ball word
-    distances from its words' breadth-first positions (WordDistances).
-    Heisenberg3 keeps the ball's Cayley graph and uses breadth-first
-    distances inside the ball (InducedDistances), which can exceed the
+    No ball holds a distance matrix, and each builds its points tuple only
+    when it is read (_Ball): a free abelian ball computes L1 distances
+    from its coordinates (L1Distances), a free group ball word distances
+    from its words' breadth-first positions (WordDistances).  Heisenberg3
+    keeps the ball's Cayley graph and uses breadth-first distances inside
+    the ball (InducedDistances), which can exceed the
     group's word metric near the boundary; the label carries a
     "metric=induced-ball" caveat so downstream output stays honest.
 
@@ -190,7 +191,7 @@ def cayley_ball(
         raise ValueError(f"radius must be positive, got {radius}")
     if spec.family == "Heisenberg3":
         ball = _heisenberg_ball(radius, point_budget)
-        n = point_budget + 1 if ball is None else len(ball[0])
+        n = point_budget + 1 if ball is None else len(ball[1])
     else:
         n = _ball_count(spec, radius, point_budget)
     if n > point_budget:
@@ -199,15 +200,12 @@ def cayley_ball(
         )
     label = f"group={spec} radius={radius}"
     if spec.family == "FreeAbelian":
-        return _AbelianBall(L1Distances(_abelian_points(spec.rank, radius), radius), label)
+        axes = _abelian_points(spec.rank, radius)
+        return _Ball(L1Distances(axes, radius), label, lambda: zip(*axes.tolist()))
     if spec.family == "FreeGroup":
-        points = _free_words(spec.rank, radius)
-        dist = WordDistances(spec.rank, radius)
-    else:
-        points, adj = ball
-        dist = InducedDistances(np.array(adj, dtype=np.intp))
-        label += " metric=induced-ball"
-    return FiniteMetricSpace(points, dist, label)
+        return _Ball(WordDistances(spec.rank, radius), label, lambda: _free_words(spec.rank, radius))
+    points, adj = ball
+    return _Ball(InducedDistances(adj), label + " metric=induced-ball", points)
 
 
 def _abelian_points(rank: int, r: int) -> np.ndarray:
@@ -217,9 +215,9 @@ def _abelian_points(rank: int, r: int) -> np.ndarray:
     grid -= r
     norm = np.abs(grid).sum(axis=0, dtype=np.int32)
     keep = norm <= r
-    grid, norm = grid[:, keep], norm[keep]
-    # lexsort sorts by its last key first: the norm, then x0, x1, ...
-    return grid[:, np.lexsort((*grid[::-1], norm))]
+    # The grid is in lexicographic order already, which a stable sort by
+    # norm keeps within each norm.
+    return grid[:, np.flatnonzero(keep)[np.argsort(norm[keep], kind="stable")]]
 
 
 # Most cells of one block of distances read at a time: 4 MB of int32.
@@ -508,57 +506,58 @@ def _free_words(rank: int, r: int) -> list[tuple[int, ...]]:
     return words
 
 
-def _heisenberg_neighbors(p: tuple[int, int, int]):
-    a, b, c = p
-    # Right multiplication by the generators X, Y and their inverses in the
-    # integer Heisenberg group, coordinates (a, b, c).
-    return (
-        (a + 1, b, c),
-        (a - 1, b, c),
-        (a, b + 1, c + a),
-        (a, b - 1, c - a),
-    )
-
-
 def _heisenberg_ball(r: int, limit: int):
-    """The radius-r ball, sorted by word length and then coordinates, with
-    its adjacency (see InducedDistances) as lists of four indices; or None
-    once the breadth-first search finds more than limit points.
+    """The radius-r ball, sorted by word length and then coordinates: a
+    function that lists its points, and its (n, 4) adjacency (see
+    InducedDistances); or None once the breadth-first search finds more
+    than limit points.
 
-    The search lists the neighbours of each point inside the radius.
-    Every relator has even length, so no two points of the radius-r sphere
-    are adjacent: a sphere point's neighbours are the inner points listing
-    it.
+    Right multiplication by the generators X, Y and their inverses maps
+    (a, b, c) to (a +- 1, b, c) and (a, b +- 1, c +- a).  A point is one
+    int whose digits in a mixed radix are a, b and c, shifted to be
+    nonnegative, so ints sort as coordinates do.  A point of word length d
+    has |a|, |b| <= d and |c| <= d * d, so the digits hold every point of
+    length up to top: the ball's points and their neighbours, and every
+    point a search finds before it stops, as more than limit points (the
+    powers of X among them) lie within length limit.  Each sphere is
+    sorted once, as it is found, and each point's neighbours are looked up
+    among the sorted keys.
     """
-    found = [(0, 0, 0)]
-    ids = {(0, 0, 0): 0}
-    depth = [0]
-    around: list[list[int]] = []
-    # found grows as it is walked, in breadth-first order.
-    for k, p in enumerate(found):
-        if depth[k] == r:
-            break
-        around.append([])
-        for q in _heisenberg_neighbors(p):
-            if q not in ids:
-                ids[q] = len(found)
-                found.append(q)
-                depth.append(depth[k] + 1)
-                if len(found) > limit:
-                    return None
-            around[k].append(ids[q])
-    order = sorted(range(len(found)), key=lambda k: (depth[k], found[k]))
-    rank = [0] * len(found)
-    for i, k in enumerate(order):
-        rank[k] = i
-    adj = [[i] * 4 for i in range(len(found))]
-    for k, near in enumerate(around):
-        adj[rank[k]] = [rank[j] for j in near]
-        for j in near:
-            if j >= len(around):
-                row = adj[rank[j]]
-                row[row.index(rank[j])] = rank[k]
-    return [found[k] for k in order], adj
+    top = min(r, limit) + 1
+    sb = 2 * top * top + 1
+    sa = (2 * top + 1) * sb
+    # A Y step adds sb + a, where a = key // sa - top.
+    y = sb - top
+    keys = [top * (sa + sb + top)]
+    seen = set(keys)
+    sphere = keys
+    for _ in range(r):
+        found = []
+        for k in sphere:
+            step = k // sa + y
+            for q in (k + sa, k - sa, k + step, k - step):
+                if q not in seen:
+                    seen.add(q)
+                    if len(seen) > limit:
+                        return None
+                    found.append(q)
+        found.sort()
+        keys += found
+        sphere = found
+
+    def points():
+        for k in keys:
+            a, bc = divmod(k, sa)
+            b, c = divmod(bc, sb)
+            yield a - top, b - top, c - top * top
+
+    key = np.array(keys, dtype=np.int64)
+    step = key // sa + y
+    near = np.stack((key + sa, key - sa, key + step, key - step), axis=1)
+    order = np.argsort(key)
+    at = order[np.searchsorted(key, near, sorter=order).clip(max=len(keys) - 1)]
+    # A neighbour outside the ball stands in as the point itself.
+    return points, np.where(key[at] == near, at, np.arange(len(keys))[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -846,9 +845,10 @@ def min_families_exhaustive(
             (dist[a][b] for fam in families for subset in fam for a in subset for b in subset),
             default=0,
         )
-        # The witness keeps the table read above, so verifying it reads none.
-        space = FiniteMetricSpace(space.points, table, space.label)
-        return SearchResult(k, CoverWitness(space, families, D, actual_b), nodes)
+        # The witness keeps the table read above, so verifying it reads none,
+        # and lists the points only when they are read.
+        kept = _Ball(DenseDistances(table), space.label, lambda: space.points)
+        return SearchResult(k, CoverWitness(kept, families, D, actual_b), nodes)
     return SearchResult(None, None, nodes)
 
 
@@ -910,7 +910,10 @@ def _natural(text: str) -> int | None:
 
 
 def _parse_label(label: str, lineno: int) -> FiniteMetricSpace:
-    tokens = label.split()
+    """The ball a label names.  Its fields are joined by single spaces, as
+    cayley_ball writes them: an empty field, or one that holds any other
+    blank, is a bad space label."""
+    tokens = label.split(" ")
     fields = {}
     for tok in tokens:
         key, eq, value = tok.partition("=")
@@ -918,7 +921,7 @@ def _parse_label(label: str, lineno: int) -> FiniteMetricSpace:
             raise WitnessFormatError(f"bad space label {label!r}", lineno)
         fields[key] = value
     extra = set(fields) - {"group", "radius", "metric"}
-    if "group" not in fields or "radius" not in fields or extra:
+    if "group" not in fields or "radius" not in fields or extra or tokens != label.split():
         raise WitnessFormatError(f"bad space label {label!r}", lineno)
     radius = _natural(fields["radius"])
     if radius is None:

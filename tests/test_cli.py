@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 
 import pytest
 
@@ -17,7 +16,7 @@ import asdimlab.coarse
 import asdimlab.engine
 from asdimlab.bounds import DimBound, InconsistentBoundError
 from asdimlab.cli import main
-from asdimlab.coarse import WitnessFormatError, parse_witness
+from asdimlab.coarse import WitnessFormatError, format_witness, parse_witness
 from asdimlab.groups import CanonicalFormError, parse_canonical
 from asdimlab.manifolds import ManifoldParseError, parse_manifold
 
@@ -353,25 +352,46 @@ def test_cover_search_refuses_a_huge_radius_at_once(capsys, radius):
 
 
 def test_heisenberg_search_walks_its_ball_once(capsys, monkeypatch):
-    spec = asdimlab.coarse.GroupSpec("Heisenberg3")
-    interior = asdimlab.coarse.cayley_ball(spec, 1).points
-    ball = asdimlab.coarse.cayley_ball(spec, 2).points
     calls = []
-    real = asdimlab.coarse._heisenberg_neighbors
+    real = asdimlab.coarse._heisenberg_ball
 
-    def counted(p):
-        calls.append(p)
-        return real(p)
+    def counted(r, limit):
+        calls.append((r, limit))
+        return real(r, limit)
 
-    monkeypatch.setattr(asdimlab.coarse, "_heisenberg_neighbors", counted)
+    monkeypatch.setattr(asdimlab.coarse, "_heisenberg_ball", counted)
     code, out, _ = run(
         capsys, "cover", "search", "--group", "Heisenberg3", "--radius", "2", "-D", "1", "-B", "2",
     )
     assert code in (0, 1) and out.startswith("k=")
-    # One breadth-first search expands each interior point once and records
-    # the adjacency the distances are read from.
-    assert Counter(calls) == Counter(interior)
-    assert len(ball) == 17
+    # One breadth-first walk finds the 17 points and the adjacency the
+    # distances are read from.
+    assert calls == [(2, asdimlab.coarse.SEARCH_POINT_LIMIT)]
+    assert len(asdimlab.coarse.cayley_ball(asdimlab.coarse.GroupSpec("Heisenberg3"), 2)) == 17
+
+
+# Blanks that str.split() splits at and a label's fields are not split at.
+_LABEL_BLANKS = ("  ", "\t", "\x0c", "\x1c", "\u2028", " \t")
+
+
+@pytest.mark.parametrize("blank", _LABEL_BLANKS, ids=[repr(b) for b in _LABEL_BLANKS])
+def test_a_label_splits_only_at_single_spaces(tmp_path, capsys, blank):
+    # cayley_ball writes one space between fields and none around them;
+    # the label that verifies is written back as it was read.
+    good = (GOLDEN / "brick_r1.txt").read_text()
+    label = "group=FreeAbelian(1) radius=8"
+    target = tmp_path / "w.txt"
+    target.write_text(good, newline="")
+    assert run(capsys, "cover", "verify", str(target))[0] == 0
+    assert format_witness(parse_witness(good)) == good
+    for variant in (
+        label.replace(" ", blank), label.replace(" ", " " + blank), label.replace("=", blank + "=", 1),
+        blank + label, label + blank, label.replace(")", ")" + blank),
+    ):
+        target.write_text(good.replace(label, variant), newline="")
+        assert run(capsys, "cover", "verify", str(target)) == (
+            2, "", f"{target}:2: error: bad space label {variant!r}\n"
+        )
 
 
 # Runs commands in a fresh interpreter in which numpy cannot be imported,
@@ -394,11 +414,15 @@ print(repr(results))
 def test_oversize_balls_are_refused_without_numpy(tmp_path):
     label = tmp_path / "w.txt"
     label.write_text("coarse-witness v1\ngroup=FreeGroup(2) radius=1000000\nD 1\nB 0\n0:0 0\n")
+    # the Heisenberg walk runs to the full point budget before it refuses
+    heisenberg = tmp_path / "h.txt"
+    heisenberg.write_text("coarse-witness v1\ngroup=Heisenberg3 radius=40\nD 1\nB 0\n0:0 0\n")
     argvs = [
         ["cover", "search", "--group", "FreeAbelian(2)", "--radius", "100", "-D", "1", "-B", "2"],
         ["cover", "search", "--group", "Heisenberg3", "--radius", "1000", "-D", "1", "-B", "2"],
         ["cover", "build", "--rank", "3", "-D", "1", "--radius", "1000"],
         ["cover", "verify", str(label)],
+        ["cover", "verify", str(heisenberg)],
     ]
     results = ast.literal_eval(run_fresh(_NO_NUMPY_CHILD.replace("ARGVS", repr(argvs))))
     for argv, (code, err) in zip(argvs, results):

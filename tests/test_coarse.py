@@ -172,20 +172,23 @@ def test_heisenberg_balls_hold_their_graph_not_a_matrix():
 
 
 def test_heisenberg_ball_past_the_point_budget_stops_at_once(monkeypatch):
-    calls = []
-    real = coarse._heisenberg_neighbors
+    found = []
 
-    def counted(p):
-        calls.append(p)
-        return real(p)
+    class Found(set):
+        """The set each sphere's new points are added to, one at a time."""
 
-    monkeypatch.setattr(coarse, "_heisenberg_neighbors", counted)
+        def add(self, item):
+            found.append(item)
+            super().add(item)
+
+    monkeypatch.setattr(coarse, "set", Found, raising=False)
     monkeypatch.setattr(coarse, "InducedDistances", _refuse)
-    # Radius 40 holds over a million points; the search stops one point
-    # past the 200,000 of the point budget, each point expanded once.
+    # Radius 40 holds over a million points; the walk stops one point past
+    # the 200,000 of the point budget, each point found once.
     with pytest.raises(BallBudgetError, match="more than 200000 points"):
         cayley_ball(GroupSpec("Heisenberg3"), 40)
-    assert 0 < len(calls) <= 200_001 and len(set(calls)) == len(calls)
+    assert 1 + len(found) == 200_001 and len(set(found)) == len(found)
+    monkeypatch.undo()
     # The walk holds a few hundred bytes per point, shown on a smaller budget.
     tracemalloc.start()
     try:
@@ -252,6 +255,18 @@ def _word_reference(words):
     return [[len(u) + len(v) - 2 * _lcp(u, v) for v in words] for u in words]
 
 
+def _heisenberg_neighbors(p):
+    a, b, c = p
+    # Right multiplication by the generators X, Y and their inverses in the
+    # integer Heisenberg group, coordinates (a, b, c).
+    return (
+        (a + 1, b, c),
+        (a - 1, b, c),
+        (a, b + 1, c + a),
+        (a, b - 1, c - a),
+    )
+
+
 def _induced_reference(points, neighbors):
     index = {p: i for i, p in enumerate(points)}
     rows = []
@@ -276,7 +291,71 @@ def _reference(space):
         return _l1_reference(space.points)
     if space.label.startswith("group=FreeGroup"):
         return _word_reference(space.points)
-    return _induced_reference(space.points, coarse._heisenberg_neighbors)
+    return _induced_reference(space.points, _heisenberg_neighbors)
+
+
+# Independent references for the order of each family's points.
+
+
+def _lattice_order(rank, r):
+    """Every point of Z^rank within r in L1, sorted by norm and then
+    coordinates."""
+    box = itertools.product(range(-r, r + 1), repeat=rank)
+    return sorted((p for p in box if sum(map(abs, p)) <= r), key=lambda p: (sum(map(abs, p)), p))
+
+
+def _free_order(rank, r):
+    """The reduced words of length at most r in breadth-first order, each
+    word's children listed in the letter order 1, -1, 2, -2."""
+    letters = [1, -1, 2, -2][: 2 * rank]
+    words, queue = [()], deque([()])
+    while queue:
+        w = queue.popleft()
+        if len(w) < r:
+            for x in letters:
+                if not w or w[-1] != -x:
+                    words.append(w + (x,))
+                    queue.append(w + (x,))
+    return words
+
+
+def _heisenberg_order(r):
+    """The radius-r ball by a breadth-first search over point tuples,
+    sorted by word length and then coordinates, and each point's set of
+    neighbour indices, a neighbour outside the ball standing in as the
+    point itself."""
+    depth = {(0, 0, 0): 0}
+    queue = deque(depth)
+    while queue:
+        p = queue.popleft()
+        if depth[p] < r:
+            for q in _heisenberg_neighbors(p):
+                if q not in depth:
+                    depth[q] = depth[p] + 1
+                    queue.append(q)
+    points = sorted(depth, key=lambda p: (depth[p], p))
+    index = {p: i for i, p in enumerate(points)}
+    return points, [{index.get(q, i) for q in _heisenberg_neighbors(p)} for i, p in enumerate(points)]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_free_abelian_points_come_in_norm_then_coordinate_order(rank):
+    for r in range(1, 7):
+        assert list(cayley_ball(GroupSpec("FreeAbelian", rank), r).points) == _lattice_order(rank, r)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_free_group_points_come_in_breadth_first_order(rank):
+    for r in range(1, 5):
+        assert list(cayley_ball(GroupSpec("FreeGroup", rank), r).points) == _free_order(rank, r)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_heisenberg_points_and_neighbours_match_a_tuple_walk(r):
+    ball = cayley_ball(GroupSpec("Heisenberg3"), r)
+    points, near = _heisenberg_order(r)
+    assert list(ball.points) == points
+    assert [set(row) for row in ball.dist.adj.tolist()] == near
 
 
 def _dense_sub_ball(radius):
@@ -531,6 +610,36 @@ def test_a_valid_plane_witness_never_builds_the_point_tuple():
     uncovered = [v for v in report.violations if "uncovered" in v]
     assert uncovered == [f"point {i} at {p} is uncovered" for i, p in victims.items()]
     assert back.space.points[312] == (12, 0)
+
+
+def test_no_ball_builds_its_point_tuple_until_it_is_read():
+    # Every family keeps what its distance oracle needs; a search witness
+    # keeps its space's points unbuilt too, and verify_cover reads them
+    # only to name an uncovered point.
+    for spec, radius, want in (
+        (GroupSpec("FreeGroup", 2), 3, _free_order(2, 3)),
+        (GroupSpec("Heisenberg3"), 3, _heisenberg_order(3)[0]),
+    ):
+        ball = cayley_ball(spec, radius)
+        assert len(ball) == len(want) and "points" not in vars(ball)
+        assert list(ball.points) == want
+    for spec, radius, D, B in (
+        (GroupSpec("FreeAbelian", 2), 2, 1, 2),
+        (GroupSpec("FreeGroup", 2), 1, 1, 2),
+        (GroupSpec("Heisenberg3"), 2, 1, 2),
+    ):
+        space = cayley_ball(spec, radius, SEARCH_POINT_LIMIT)
+        found = min_families_exhaustive(space, D, B)
+        witness = found.witness
+        assert found.k is not None and verify_cover(witness).valid
+        assert "points" not in vars(space) and "points" not in vars(witness.space)
+        families = [[list(s) for s in family] for family in witness.families]
+        victim = families[0][0].pop()
+        families = [[s for s in family if s] for family in families]
+        report = verify_cover(CoverWitness(witness.space, families, D, witness.B))
+        point = cayley_ball(spec, radius).points[victim]
+        assert f"point {victim} at {point} is uncovered" in report.violations
+        assert witness.space.points == space.points
 
 
 def test_verify_cover_catches_separation_failure():
