@@ -554,7 +554,8 @@ def _heisenberg_ball(r: int, limit: int):
     key = np.array(keys, dtype=np.int64)
     step = key // sa + y
     near = np.stack((key + sa, key - sa, key + step, key - step), axis=1)
-    order = np.argsort(key)
+    # The keys are sorted runs, one per sphere, which a stable sort merges.
+    order = np.argsort(key, kind="stable")
     at = order[np.searchsorted(key, near, sorter=order).clip(max=len(keys) - 1)]
     # A neighbour outside the ball stands in as the point itself.
     return points, np.where(key[at] == near, at, np.arange(len(keys))[:, None])
