@@ -130,8 +130,9 @@ class FiniteMetricSpace:
 
 
 class _Ball(FiniteMetricSpace):
-    """A Cayley ball, which keeps what its distance oracle needs and builds
-    the points tuple from make_points() only when it is first read."""
+    """A Cayley ball, or a search witness's copy of one, which keeps what
+    its distance oracle needs and builds the points tuple from
+    make_points() only when it is first read."""
 
     def __init__(self, dist: Distances, label: str, make_points):
         self.dist = dist
@@ -507,21 +508,17 @@ def _free_words(rank: int, r: int) -> list[tuple[int, ...]]:
 
 
 def _heisenberg_ball(r: int, limit: int):
-    """The radius-r ball, sorted by word length and then coordinates: a
-    function that lists its points, and its (n, 4) adjacency (see
-    InducedDistances); or None once the breadth-first search finds more
-    than limit points.
+    """The radius-r ball, sorted by word length and then coordinates, as
+    (points, adj): points() lists the points, adj is the (n, 4) adjacency
+    (see InducedDistances); or None once the walk finds more than limit.
 
-    Right multiplication by the generators X, Y and their inverses maps
-    (a, b, c) to (a +- 1, b, c) and (a, b +- 1, c +- a).  A point is one
-    int whose digits in a mixed radix are a, b and c, shifted to be
-    nonnegative, so ints sort as coordinates do.  A point of word length d
-    has |a|, |b| <= d and |c| <= d * d, so the digits hold every point of
-    length up to top: the ball's points and their neighbours, and every
-    point a search finds before it stops, as more than limit points (the
-    powers of X among them) lie within length limit.  Each sphere is
-    sorted once, as it is found, and each point's neighbours are looked up
-    among the sorted keys.
+    The generators X, Y and their inverses map (a, b, c) to (a +- 1, b, c)
+    and (a, b +- 1, c +- a).  A point is one int, whose mixed-radix digits
+    are a, b and c made nonnegative, so ints sort as coordinates do.  A
+    point of length d has |a|, |b| <= d and |c| <= d * d, so the digits
+    hold every point of length up to top: the ball, its neighbours, and
+    any point found before the walk stops, as the powers of X put more
+    than limit points within length limit.
     """
     top = min(r, limit) + 1
     sb = 2 * top * top + 1
@@ -557,7 +554,6 @@ def _heisenberg_ball(r: int, limit: int):
     # The keys are sorted runs, one per sphere, which a stable sort merges.
     order = np.argsort(key, kind="stable")
     at = order[np.searchsorted(key, near, sorter=order).clip(max=len(keys) - 1)]
-    # A neighbour outside the ball stands in as the point itself.
     return points, np.where(key[at] == near, at, np.arange(len(keys))[:, None])
 
 
@@ -911,9 +907,8 @@ def _natural(text: str) -> int | None:
 
 
 def _parse_label(label: str, lineno: int) -> FiniteMetricSpace:
-    """The ball a label names.  Its fields are joined by single spaces, as
-    cayley_ball writes them: an empty field, or one that holds any other
-    blank, is a bad space label."""
+    """The ball a label names.  Fields are joined by single spaces, as
+    cayley_ball writes them; any other blank is a bad space label."""
     tokens = label.split(" ")
     fields = {}
     for tok in tokens:
