@@ -29,6 +29,15 @@ class Refusal(ValueError):
         self.message, self.line, self.col, self.path = message, line, col, path
 
 
+def split_records(text: str) -> list[str]:
+    """The records of a trace or witness text: split at "\\n" alone, as a record
+    may hold any other line break, less one trailing "\\r" each (CRLF text)."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return [line.removesuffix("\r") for line in lines] if "\r" in text else lines
+
+
 # Each submodule and the public names it defines.
 _EXPORTS = {
     "bounds": "FINITE_UNKNOWN UNKNOWN DimBound ExtendedDim InconsistentBoundError finite",

@@ -17,9 +17,9 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
-from . import Refusal
+from . import Refusal, split_records
 
 
 class _Numpy:
@@ -85,14 +85,11 @@ class GroupSpec:
 def parse_group_spec(text: str) -> GroupSpec:
     if text == "Heisenberg3":
         return GroupSpec("Heisenberg3")
-    for family in ("FreeAbelian", "FreeGroup"):
-        prefix = family + "("
-        if text.startswith(prefix) and text.endswith(")"):
-            rank = _natural(text[len(prefix):-1])
-            if rank is None:
-                raise ValueError(f"bad group spec {text!r}")
-            return GroupSpec(family, rank)
-    raise ValueError(f"bad group spec {text!r}")
+    spec = re.fullmatch(r"(FreeAbelian|FreeGroup)\((.*)\)", text, re.DOTALL)
+    rank = _natural(spec[2]) if spec else None
+    if rank is None:
+        raise ValueError(f"bad group spec {text!r}")
+    return GroupSpec(spec[1], rank)
 
 
 class FiniteMetricSpace:
@@ -232,19 +229,6 @@ def _pairs(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _scan(dist, rows, row_labels, cols, col_labels, D: int):
-    """Arrays (a, b, d), a < b, naming every row and column of distinct
-    labels at distance d <= D, read in blocks of rows against all columns."""
-    parts = []
-    step = max(1, min(256, _BLOCK_CELLS // max(1, len(cols))))
-    for lo in range(0, len(rows), step):
-        block = dist.block(rows[lo : lo + step], cols)
-        r, c = np.nonzero((block <= D) & (row_labels[lo : lo + step, None] != col_labels))
-        a, b = row_labels[lo + r], col_labels[c]
-        parts.append((np.minimum(a, b), np.maximum(a, b), block[r, c]))
-    return _pairs(parts)
-
-
 class Distances:
     """The distances of a finite space, read on demand.
 
@@ -292,9 +276,17 @@ class Distances:
     def close_labels(self, labels: np.ndarray, D: int):
         """Arrays (a, b, d) holding, for every two labels a < b on points
         within D of each other (labels[i] < 0 is no label), their least
-        distance d, and no d above D.  The default compares all pairs."""
+        distance d, and no d above D.  The default reads the labelled
+        points pairwise, in blocks of rows against all of them."""
         members = np.flatnonzero(labels >= 0)
-        return _scan(self, members, labels[members], members, labels[members], D)
+        own = labels[members]
+        parts = []
+        step = max(1, min(256, _BLOCK_CELLS // max(1, len(members))))
+        for lo in range(0, len(members), step):
+            block = self.block(members[lo : lo + step], members)
+            r, c = np.nonzero((block <= D) & (own[lo : lo + step, None] < own))
+            parts.append((own[lo + r], own[c], block[r, c]))
+        return _pairs(parts)
 
 
 class DenseDistances(Distances):
@@ -699,28 +691,45 @@ def _close_pairs(dist: Distances, members: np.ndarray, runs: np.ndarray, D: int)
     """Sorted ((a, b), gap) for the runs a < b (see Distances.diameter)
     that come within D of each other, gap their distance.
 
-    Each point is labelled with one of its runs for dist.close_labels; a
-    member whose run lost the label is compared with every member, so a
-    point shared by two runs puts them at distance 0.
+    dist.close_labels reads each point labelled with its run, or the k-th
+    point in several runs with a label of its own, count + k.  A pair of
+    labels stands for each pair of distinct runs across it, and such a
+    label paired with itself at 0 for each two runs of its point.
     """
     count = int(runs[-1]) + 1
     if count < 2:
         return []
     labels = np.full(dist.shape[0], -1, dtype=np.intp)
     labels[members] = runs
+    lost = labels[members] != runs
+    if lost.any():
+        shared = np.unique(members[lost])
+        own = labels[shared] = count + np.arange(len(shared))
+        # Label l stands for the runs flat[start[l]:start[l] + width[l]].
+        label, flat = np.divmod(np.unique(labels[members] * count + runs), count)
+        start = np.searchsorted(label, np.arange(own[-1] + 1))
+        width = np.diff(start, append=len(label))
     a, b, d = dist.close_labels(labels, D)
-    again = labels[members] != runs
-    if again.any():
-        more = _scan(dist, members[again], runs[again], members, runs, D)
-        a, b, d = (np.concatenate(pair) for pair in zip((a, b, d), more))
+    if lost.any():
+        wide = b >= count
+        la, lb, gap = np.append(a[wide], own), np.append(b[wide], own), np.append(d[wide], 0 * own)
+        # Label pair p stands for times[p] pairs of runs; k numbers them.
+        times = width[la] * width[lb]
+        pair = np.repeat(np.arange(len(la)), times)
+        k = np.arange(len(pair)) - (np.cumsum(times) - times)[pair]
+        x = flat[start[la[pair]] + k // width[lb[pair]]]
+        y = flat[start[lb[pair]] + k % width[lb[pair]]]
+        keep = x != y
+        a = np.append(a[~wide], np.minimum(x, y)[keep])
+        b = np.append(b[~wide], np.maximum(x, y)[keep])
+        d = np.append(d[~wide], gap[pair[keep]])
     if not len(a):
         return []
     code = a.astype(np.int64) * count + b
     order = np.lexsort((d, code))
-    code, d = code[order], d[order]
-    least = np.ones(len(code), dtype=bool)
-    least[1:] = code[1:] != code[:-1]
-    return [(divmod(c, count), g) for c, g in zip(code[least].tolist(), d[least].tolist())]
+    # np.unique sorts stably, so each code keeps its least d.
+    code, least = np.unique(code[order], return_index=True)
+    return [(divmod(c, count), g) for c, g in zip(code.tolist(), d[order][least].tolist())]
 
 
 @dataclass
@@ -890,8 +899,9 @@ def format_witness(witness: CoverWitness) -> str:
 
 
 # A subset line's body as format_witness writes it: numerals as str()
-# writes them for integers n >= 0, joined by commas.
-_INDEX_LIST = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
+# writes them for integers n >= 0, joined by commas, each of at most 19
+# digits: int() converts them all, and no longer index is in range.
+_INDEX_LIST = re.compile(r"(?:0|[1-9][0-9]{0,18})(?:,(?:0|[1-9][0-9]{0,18}))*")
 
 
 def _natural(text: str) -> int | None:
@@ -907,30 +917,40 @@ def _natural(text: str) -> int | None:
 
 
 def _parse_label(label: str, lineno: int) -> FiniteMetricSpace:
-    """The ball a label names.  Fields are joined by single spaces, as
-    cayley_ball writes them; any other blank is a bad space label."""
-    tokens = label.split(" ")
-    fields = {}
-    for tok in tokens:
-        key, eq, value = tok.partition("=")
-        if not eq or key in fields:
-            raise WitnessFormatError(f"bad space label {label!r}", lineno)
-        fields[key] = value
-    extra = set(fields) - {"group", "radius", "metric"}
-    if "group" not in fields or "radius" not in fields or extra or tokens != label.split():
+    """The ball a label names.  Its fields come in cayley_ball's order,
+    joined by single spaces, with no blank in a value; any other label is
+    a bad space label."""
+    fields = re.fullmatch(r"group=(\S*) radius=(\S*)(?: metric=(\S*))?", label)
+    if fields is None:
         raise WitnessFormatError(f"bad space label {label!r}", lineno)
-    radius = _natural(fields["radius"])
+    group, radius, metric = fields.groups()
+    radius = _natural(radius)
     if radius is None:
         raise WitnessFormatError(f"bad radius in label {label!r}", lineno)
     try:
-        spec = parse_group_spec(fields["group"])
+        spec = parse_group_spec(group)
         # cayley_ball writes metric=induced-ball into Heisenberg3 labels only;
         # a Heisenberg3 label may leave the field out.
-        if "metric" in fields and (fields["metric"] != "induced-ball" or spec.family != "Heisenberg3"):
+        if metric is not None and (metric != "induced-ball" or spec.family != "Heisenberg3"):
             raise ValueError(f"bad metric in label {label!r}")
         return cayley_ball(spec, radius)
     except ValueError as exc:  # also cayley_ball refusing the ball the label names
         raise WitnessFormatError(str(exc), lineno) from exc
+
+
+def _refuse_subset(body: str, n: int, lineno: int) -> NoReturn:
+    """Refuse a subset line body, naming its first bad piece."""
+    seen: set[int] = set()
+    for piece in body.split(","):
+        i = _natural(piece)
+        if i is None or i >= n or i in seen:
+            break
+        seen.add(i)
+    if i is None:
+        raise WitnessFormatError(f"bad point index {piece!r}", lineno)
+    if i >= n:
+        raise WitnessFormatError(f"point index {i} out of range for {n}-point space", lineno)
+    raise WitnessFormatError(f"duplicate point index {i}", lineno)
 
 
 def parse_witness(text: str) -> CoverWitness:
@@ -944,16 +964,13 @@ def parse_witness(text: str) -> CoverWitness:
     cover is verify_cover's business.
 
     Records end at "\n" alone, less one trailing "\r" each (CRLF text), so
-    no other line break character can split a line.  A subset line whose
-    body is a list of numerals is read in one step; any other body, an
-    index past the space, a repeat or a numeral too long for int() sends
-    it through the piece-by-piece walk that words the refusal.
+    no other line break character can split a line.  A subset line is read
+    in one step, one regex match and one int per numeral; any body that
+    step declines (not a list of numerals, an index past the space, a
+    repeat or a numeral too long for int()) is refused, naming its first
+    bad piece.
     """
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    if "\r" in text:
-        lines = [line.removesuffix("\r") for line in lines]
+    lines = split_records(text)
     if len(lines) < 4:
         raise WitnessFormatError("witness needs header, label, D and B lines", len(lines) + 1)
     if lines[0] != "coarse-witness v1":
@@ -991,30 +1008,12 @@ def parse_witness(text: str) -> CoverWitness:
                 f"subset index {idx} out of order in family {fam}", lineno
             )
         if _INDEX_LIST.fullmatch(body):
-            try:
-                # A comprehension, not list(map(int, ...)): tracemalloc finds
-                # the line of the frame that allocates each int, which takes
-                # a scan of that frame's code, and this frame is short.
-                subset = [int(piece) for piece in body.split(",")]
-            except ValueError:  # more digits than int() converts
-                pass
-            else:
-                if max(subset) < n and len(set(subset)) == len(subset):
-                    families[fam].append(subset)
-                    continue
-        subset = []
-        seen: set[int] = set()
-        for piece in body.split(","):
-            i = _natural(piece)
-            if i is None:
-                raise WitnessFormatError(f"bad point index {piece!r}", lineno)
-            if i >= n:
-                raise WitnessFormatError(
-                    f"point index {i} out of range for {n}-point space", lineno
-                )
-            if i in seen:
-                raise WitnessFormatError(f"duplicate point index {i}", lineno)
-            seen.add(i)
-            subset.append(i)
-        families[fam].append(subset)
+            # A comprehension, not list(map(int, ...)): tracemalloc finds the
+            # line of the frame that allocates each int, which takes a scan
+            # of that frame's code, and this frame is short.
+            subset = [int(piece) for piece in body.split(",")]
+            if max(subset) < n and len(set(subset)) == len(subset):
+                families[fam].append(subset)
+                continue
+        _refuse_subset(body, n, lineno)
     return CoverWitness(space, families, D, B)

@@ -23,7 +23,7 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 from types import MappingProxyType
 
-from . import Refusal
+from . import Refusal, split_records as trace_lines
 from .bounds import (
     FINITE_UNKNOWN,
     UNKNOWN,
@@ -376,15 +376,6 @@ def serialize_trace(trace: ProofTrace) -> str:
             out += (" <- ", " ".join(tokens))
         out += ("\t", str(produced), "\n")
     return "".join(out)
-
-
-def trace_lines(text: str) -> list[str]:
-    """The records of a trace text: split on "\\n" alone, as a subject may
-    hold any other line break, less one trailing "\\r" each (CRLF text)."""
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return [line.removesuffix("\r") for line in lines] if "\r" in text else lines
 
 
 def parse_trace(text: str) -> ProofTrace:

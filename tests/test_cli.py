@@ -417,16 +417,21 @@ def test_oversize_balls_are_refused_without_numpy(tmp_path):
     # the Heisenberg walk runs to the full point budget before it refuses
     heisenberg = tmp_path / "h.txt"
     heisenberg.write_text("coarse-witness v1\ngroup=Heisenberg3 radius=40\nD 1\nB 0\n0:0 0\n")
+    # a label whose fields are out of order names no ball
+    order = tmp_path / "o.txt"
+    order.write_text("coarse-witness v1\nradius=8 group=FreeAbelian(1)\nD 1\nB 0\n0:0 0\n")
     argvs = [
         ["cover", "search", "--group", "FreeAbelian(2)", "--radius", "100", "-D", "1", "-B", "2"],
         ["cover", "search", "--group", "Heisenberg3", "--radius", "1000", "-D", "1", "-B", "2"],
         ["cover", "build", "--rank", "3", "-D", "1", "--radius", "1000"],
         ["cover", "verify", str(label)],
         ["cover", "verify", str(heisenberg)],
+        ["cover", "verify", str(order)],
     ]
     results = ast.literal_eval(run_fresh(_NO_NUMPY_CHILD.replace("ARGVS", repr(argvs))))
     for argv, (code, err) in zip(argvs, results):
-        assert code == 2 and "points" in err and "Traceback" not in err, (argv, err)
+        want = "bad space label" if argv[-1] == str(order) else "points"
+        assert code == 2 and want in err and "Traceback" not in err, (argv, err)
 
 
 def test_cover_verify_refuses_a_huge_label_radius(tmp_path, capsys):
@@ -451,8 +456,10 @@ def test_cover_verify_refuses_a_huge_label_radius(tmp_path, capsys):
          "5: error: point index 9 out of range for 5-point space"),
         (["coarse-witness v1", "group=Foo(1) radius=2", "D 2", "B 3", "0:0 0"],
          "2: error: bad group spec 'Foo(1)'"),
+        (["coarse-witness v1", "radius=2 group=FreeAbelian(1)", "D 2", "B 3", "0:0 0"],
+         "2: error: bad space label 'radius=2 group=FreeAbelian(1)'"),
     ],
-    ids=["point-index", "group"],
+    ids=["point-index", "group", "label-order"],
 )
 def test_cover_verify_refuses_a_bad_witness_at_its_line(tmp_path, capsys, lines, diagnostic):
     target = tmp_path / "w.txt"

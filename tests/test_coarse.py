@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -844,8 +844,23 @@ def test_component_grouping_is_forced_on_tiny_spaces():
         assert definition == by_components, coloring
 
 
+# A group of every family and rank that cayley_ball builds.
+LABEL_SPECS = (
+    *(GroupSpec("FreeAbelian", rank) for rank in (1, 2, 3)),
+    *(GroupSpec("FreeGroup", rank) for rank in (1, 2)),
+    GroupSpec("Heisenberg3"),
+)
+
+
 def test_witness_round_trip():
-    for witness in (brick_cover(1, 2, 9), brick_cover(2, 1, 6)):
+    witnesses = [brick_cover(1, 2, 9), brick_cover(2, 1, 6)]
+    # one whole-ball subset under every label cayley_ball writes
+    for spec, radius in itertools.product(LABEL_SPECS, (1, 2)):
+        ball = cayley_ball(spec, radius)
+        n = len(ball)
+        B = ball.dist.diameter(np.arange(n), np.zeros(n, dtype=np.intp))
+        witnesses.append(CoverWitness(ball, [[list(range(n))]], 1, B))
+    for witness in witnesses:
         text = format_witness(witness)
         again = parse_witness(text)
         assert format_witness(again) == text
@@ -881,6 +896,17 @@ def test_witness_format_errors_carry_line_numbers():
         with pytest.raises(WitnessFormatError) as info:
             parse_witness(text)
         assert info.value.line == lineno, text.splitlines()[:2]
+    # a label's fields come in the order cayley_ball writes them
+    for label in ("radius=8 group=FreeAbelian(1)", "group=Heisenberg3 metric=induced-ball radius=2"):
+        with pytest.raises(WitnessFormatError) as info:
+            parse_witness(lines[0] + f"\n{label}\n" + "\n".join(lines[2:]) + "\n")
+        assert (info.value.line, info.value.message) == (2, f"bad space label {label!r}")
+    # a numeral too long for the one-step read is still named out of range
+    with pytest.raises(WitnessFormatError) as info:
+        parse_witness("\n".join(lines[:4]) + "\n0:0 0,12345678901234567890\n")
+    assert (info.value.line, info.value.message) == (
+        5, "point index 12345678901234567890 out of range for 9-point space"
+    )
 
 
 def test_heisenberg_labels_parse_with_or_without_their_metric_field():
@@ -992,8 +1018,8 @@ class DictTable:
 def _random_witness(rng, space):
     """A cover made of the components of a random coloring, then perhaps
     spoiled: a point dropped, an index out of range, an empty subset, a
-    point shared by two subsets of one family, a component split in two
-    (whose halves are at most D apart), or a wrong B."""
+    point shared by two to four subsets of one family, a component split
+    in two (whose halves are at most D apart), or a wrong B."""
     n = len(space)
     D = rng.randint(1, 3)
     k = rng.randint(1, 4)
@@ -1022,9 +1048,7 @@ def _random_witness(rng, space):
         elif spoil == 2:
             family.insert(rng.randint(0, len(family)), [])
         elif spoil == 3 and len(family) > 1:
-            a, b = rng.sample(range(len(family)), 2)
-            if family[a]:
-                family[b].append(rng.choice(family[a]))
+            _share(rng, family)
         elif spoil == 4 and family and len(family[-1]) > 1:
             cut = rng.randint(1, len(family[-1]) - 1)
             family.append(family[-1][cut:])
@@ -1032,6 +1056,24 @@ def _random_witness(rng, space):
         else:
             B += rng.choice((-1, 1, 2))
     return CoverWitness(space, families, D, B)
+
+
+def _share(rng, family):
+    """Put a point of one subset of family into one to three others."""
+    a, *others = rng.sample(range(len(family)), rng.randint(2, min(len(family), 4)))
+    if family[a]:
+        point = rng.choice(family[a])
+        for b in others:
+            family[b].append(point)
+
+
+def _most_subsets(witness):
+    """The most subsets of one family that one point lies in."""
+    return max(
+        (max(Counter(i for subset in family for i in set(subset)).values(), default=0)
+         for family in witness.families),
+        default=0,
+    )
 
 
 KINDS = ("empty", "outside", "uncovered", "distance 0,", "distance 1,", "recomputed")
@@ -1053,7 +1095,9 @@ def test_verify_cover_matches_the_literal_pairwise_reading():
         assert report.valid == (not want)
         kinds.update(kind for kind in KINDS if any(kind in v for v in want))
         kinds.add("valid" if not want else "invalid")
-    assert {"valid", "invalid", *KINDS} <= kinds
+        if _most_subsets(witness) >= 3:
+            kinds.add("a point in three subsets")
+    assert {"valid", "invalid", "a point in three subsets", *KINDS} <= kinds
 
 
 # Balls of every family, above and below 256 points: verify_cover reads each
@@ -1129,9 +1173,7 @@ def test_verify_cover_by_neighbourhoods_matches_the_pairwise_reading(spec, radiu
         elif spoil == "empty":
             family.insert(rng.randint(0, len(family)), [])
         elif spoil == "share" and len(family) > 1:
-            a, b = rng.sample(range(len(family)), 2)
-            if family[a]:
-                family[b].append(rng.choice(family[a]))
+            _share(rng, family)
         elif spoil == "D":
             D += rng.choice((1, 2, 4 * radius))
         elif spoil == "B":
@@ -1141,6 +1183,18 @@ def test_verify_cover_by_neighbourhoods_matches_the_pairwise_reading(spec, radiu
     report = verify_cover(witness)
     assert report.violations == want
     assert report.valid == (not want)
+
+
+def test_two_copies_of_the_plane_ball_in_one_family_verify_in_linear_time():
+    # 20,201 points, each in both subsets; reading each such point against
+    # every member took 4 to 7 s.
+    ball = cayley_ball(GroupSpec("FreeAbelian", 2), 100)
+    whole = list(range(len(ball)))
+    witness = CoverWitness(ball, [[whole, whole]], 1, 200)
+    start = time.perf_counter()
+    report = verify_cover(witness)
+    assert time.perf_counter() - start < 0.5
+    assert report.violations == ["family 0: subsets 0 and 1 are at distance 0, need more than D=1"]
 
 
 def test_the_radius_315_plane_witness_verifies_in_linear_time():
