@@ -32,7 +32,7 @@ import io
 import os
 import sys
 
-from . import Refusal
+from . import Refusal, iter_records
 
 # The functions of other modules that handlers call, by the name they are
 # called under here: (module, attribute).  Each becomes a module global on
@@ -111,7 +111,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 {"kind": c.kind, "condition": c.condition, "citation": c.citation}
                 for c in cons
             ],
-            "trace": engine.trace_lines(engine.serialize_trace(result.trace)) if args.trace else None,
+            "trace": list(iter_records(engine.serialize_trace(result.trace))) if args.trace else None,
         }
         print(json.dumps(payload, indent=2))
         return 0
@@ -127,7 +127,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         print("consequences: none")
     if args.trace:
         print("trace:")
-        for line in engine.trace_lines(engine.serialize_trace(result.trace)):
+        for line in iter_records(engine.serialize_trace(result.trace)):
             print(f"  {line}")
         used: list[str] = []
         for step in result.trace.steps:

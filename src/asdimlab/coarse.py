@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import chain, product
 from typing import TYPE_CHECKING, NoReturn
 
-from . import Refusal, split_records
+from . import Refusal, iter_records
 
 
 class _Numpy:
@@ -107,23 +107,6 @@ class FiniteMetricSpace:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def check_metric(self) -> None:
-        """Exhaustive metric axioms check; meant for small test spaces."""
-        n = len(self.points)
-        if self.dist.shape != (n, n):
-            raise ValueError("distance matrix shape mismatch")
-        d = self.dist.block(range(n), range(n))
-        if np.any(np.diagonal(d) != 0):
-            raise ValueError("nonzero diagonal")
-        if np.any(d != d.T):
-            raise ValueError("asymmetric distances")
-        if n > 1 and np.min(d + np.eye(n, dtype=d.dtype) * (1 + np.max(d))) <= 0:
-            raise ValueError("non-positive off-diagonal distance")
-        for k in range(n):
-            through_k = d[:, k : k + 1] + d[k : k + 1, :]
-            if np.any(d > through_k):
-                raise ValueError(f"triangle inequality fails through point {k}")
 
 
 class _Ball(FiniteMetricSpace):
@@ -970,7 +953,7 @@ def parse_witness(text: str) -> CoverWitness:
     repeat or a numeral too long for int()) is refused, naming its first
     bad piece.
     """
-    lines = split_records(text)
+    lines = list(iter_records(text))
     if len(lines) < 4:
         raise WitnessFormatError("witness needs header, label, D and B lines", len(lines) + 1)
     if lines[0] != "coarse-witness v1":

@@ -23,7 +23,7 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 from types import MappingProxyType
 
-from . import Refusal, split_records as trace_lines
+from . import Refusal, iter_records
 from .bounds import (
     FINITE_UNKNOWN,
     UNKNOWN,
@@ -390,7 +390,8 @@ def parse_trace(text: str) -> ProofTrace:
 
     new = tuple.__new__
     steps = []
-    for lineno, line in enumerate(trace_lines(text)):
+    shared = ""  # the subject of the run of steps read last
+    for lineno, line in enumerate(iter_records(text)):
         fields = line.split("\t")
         if len(fields) != 4:
             raise MalformedTraceError(f"line {lineno + 1}: expected 4 fields, got {len(fields)}")
@@ -419,7 +420,14 @@ def parse_trace(text: str) -> ProofTrace:
                 except ValueError as exc:
                     raise MalformedTraceError(f"line {lineno + 1}: bad token {token!r}") from exc
             refs, literals, params = tuple(refs), tuple(literals), tuple(params)
-        steps.append(new(TraceStep, (index, rule_id, subject, produced, refs, literals, params)))
+        if subject != shared:
+            # A new run keeps a copy made once the pieces split from the line are
+            # freed, in their place (+40 MB peak RSS at 2000 vertices without).
+            start = len(raw_index) + len(rule_id) + 2
+            end = start + len(subject)
+            del fields, subject_field, head, subject
+            shared = line[start:end]
+        steps.append(new(TraceStep, (index, rule_id, shared, produced, refs, literals, params)))
     return ProofTrace(tuple(steps))
 
 

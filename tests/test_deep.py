@@ -6,8 +6,12 @@ These tests run such graphs through the whole certify path and push the
 group-expression walks far past the interpreter's recursion limit.
 """
 
+import functools
 import sys
 import time
+import tracemalloc
+
+import pytest
 
 from asdimlab import cli, engine, manifolds
 from asdimlab.bounds import DimBound
@@ -63,6 +67,37 @@ def test_a_1000_vertex_chain_bounds_and_replays():
     assert replayed == result.bound
 
 
+@functools.lru_cache(maxsize=1)
+def chain_trace(n: int) -> str:
+    desc = manifolds.parse_manifold(chain_text(n))
+    expr, _ = manifolds.compile(desc)
+    return engine.serialize_trace(engine.bound(expr, aspherical_dim=desc.dim).trace)
+
+
+def test_parse_trace_keeps_one_subject_per_run_and_no_list_of_records():
+    text = chain_trace(1000)  # 78 MB: every step names its subject in full
+    tracemalloc.start()
+    try:
+        steps = engine.parse_trace(text).steps
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the subjects kept are about 0.3 of the text; a list of every record
+    # would be the whole text again
+    assert peak < 0.6 * len(text)
+    pairs = list(zip(steps, steps[1:]))
+    equal = [a.subject == b.subject for a, b in pairs]
+    assert [a.subject is b.subject for a, b in pairs] == equal
+    assert sum(equal) > len(steps) // 2
+
+
+def test_a_broken_record_deep_in_a_trace_is_refused_at_its_line():
+    lines = chain_trace(1000).split("\n")
+    lines[4999] = lines[4999].replace("\t", " ", 1)
+    with pytest.raises(engine.MalformedTraceError, match="^line 5000: expected 4 fields, got 3$"):
+        engine.parse_trace("\n".join(lines))
+
+
 def test_a_1000_vertex_f4_tree_bounds_and_replays():
     result, replayed = certify(f4_tree_text(1000))
     assert result.bound == DimBound.parse("4..4")
@@ -86,6 +121,15 @@ def test_cli_bounds_a_1000_vertex_chain_file(tmp_path, capsys):
     assert cli.main(["bound", str(path)]) == 0
     out = capsys.readouterr().out
     assert "bound: 4..4" in out.splitlines()
+
+
+def test_cli_prints_a_trace_of_many_blocks_record_by_record(tmp_path, capsys):
+    path = tmp_path / "chain.mfd"
+    path.write_text(chain_text(100))
+    assert cli.main(["bound", str(path), "--trace"]) == 0
+    out = capsys.readouterr().out
+    printed = out[out.index("trace:\n") + 7 : out.index("citations:\n")]
+    assert printed == "".join(f"  {line}\n" for line in chain_trace(100).split("\n")[:-1])
 
 
 def nested_amalgam(depth: int):

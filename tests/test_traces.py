@@ -6,7 +6,7 @@ import pytest
 
 from conftest import FIXTURES, make_cover_expr, make_expr
 
-from asdimlab import engine, manifolds
+from asdimlab import _BLOCK, engine, iter_records, manifolds
 from asdimlab.bounds import DimBound, ExtendedDim, finite
 from asdimlab.engine import (
     MalformedTraceError,
@@ -114,6 +114,68 @@ def test_crlf_traces_parse_and_bare_cr_traces_do_not():
     assert parse_trace(text.replace("\n", "\r\n")) == parse_trace(text)
     with pytest.raises(MalformedTraceError, match="^line 1: expected 4 fields"):
         parse_trace(text.replace("\n", "\r"))
+
+
+def _reference_records(text: str) -> list[str]:
+    """The records of a text split all at once: at "\\n", less the empty
+    piece after a final "\\n", less one trailing "\\r" each."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return [line.removesuffix("\r") for line in lines]
+
+
+def _reference_parse(text: str) -> ProofTrace | str:
+    """The trace parsed one record at a time, or the refusal message."""
+    steps = []
+    for lineno, record in enumerate(_reference_records(text), 1):
+        try:
+            steps += parse_trace(record + "\n").steps
+        except MalformedTraceError as exc:
+            return re.sub("^line 1:", f"line {lineno}:", str(exc))
+    return ProofTrace(tuple(steps))
+
+
+def _padded_trace(n: int, width: int = 40) -> str:
+    # step i proves X <- 0..i, its subject padded to `width` characters
+    return "".join(f"{i}\tR-PROPER-ACTION\t{'X' * width} <- 0..{i}\t0..{i}\n" for i in range(n))
+
+
+def _newline_at(position: int) -> str:
+    # a trace whose first record ends in a "\n" at `position`
+    head = "0\tR-PROPER-ACTION\t\t0..1"
+    first = "0\tR-PROPER-ACTION\t" + "Y" * (position - len(head)) + "\t0..1\n"
+    return first + _padded_trace(2 * _BLOCK // 60)
+
+
+LONG = _padded_trace(3 * _BLOCK // 60)
+READER_TEXTS = {
+    "empty": "",
+    "no-final-newline": LONG.removesuffix("\n"),
+    "blank-records-at-end": LONG + "\n\n",
+    "crlf": LONG.replace("\n", "\r\n"),
+    "crlf-no-final-newline": LONG.replace("\n", "\r\n").removesuffix("\n"),
+    "cr-after-final-newline": LONG + "\r",
+    "lone-cr-in-a-label": LONG.replace("XX <-", "X\rX <-"),
+    "blank-record-inside": LONG[: len(LONG) // 2] + "\n" + LONG[len(LONG) // 2 :],
+    "record-longer-than-a-block": _padded_trace(5) + _padded_trace(1, 3 * _BLOCK) + LONG,
+    "newline-at-the-block-boundary": _newline_at(_BLOCK),
+    "newline-before-the-block-boundary": _newline_at(_BLOCK - 1),
+    "newline-after-the-block-boundary": _newline_at(_BLOCK + 1),
+    "every-record-a-block": "".join(f"{i}\tR\t{'Z' * (_BLOCK - 12)}\t0..0\n" for i in range(4)),
+}
+
+
+@pytest.mark.parametrize("text", READER_TEXTS.values(), ids=READER_TEXTS)
+def test_the_block_reader_agrees_with_splitting_the_whole_text(text):
+    assert list(iter_records(text)) == _reference_records(text)
+    expected = _reference_parse(text)
+    if isinstance(expected, str):
+        with pytest.raises(MalformedTraceError) as caught:
+            parse_trace(text)
+        assert str(caught.value) == expected
+    else:
+        assert parse_trace(text) == expected
 
 
 def test_shared_value_tables_stay_bounded():
