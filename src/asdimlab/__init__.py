@@ -37,12 +37,13 @@ def iter_records(text: str) -> Iterator[str]:
     """The records of a trace or witness text: split at "\\n" alone (a label may
     hold any other line break), less one trailing "\\r" each (CRLF text), about
     _BLOCK characters at a time, cut at a "\\n", so no list of every record is built."""
+    strip = "\r" in text
     start = 0
     while start < len(text):
         cut = text.find("\n", start + _BLOCK)
-        block = text[start:cut] if cut >= 0 else text[start:].removesuffix("\n")
-        lines = block.split("\n")
-        yield from [line.removesuffix("\r") for line in lines] if "\r" in block else lines
+        # no name keeps the block, so its memory is free for what its records keep
+        lines = (text[start:cut] if cut >= 0 else text[start:].removesuffix("\n")).split("\n")
+        yield from [line.removesuffix("\r") for line in lines] if strip else lines
         start = cut + 1 if cut >= 0 else len(text)
 
 

@@ -421,12 +421,7 @@ def parse_trace(text: str) -> ProofTrace:
                     raise MalformedTraceError(f"line {lineno + 1}: bad token {token!r}") from exc
             refs, literals, params = tuple(refs), tuple(literals), tuple(params)
         if subject != shared:
-            # A new run keeps a copy made once the pieces split from the line are
-            # freed, in their place (+40 MB peak RSS at 2000 vertices without).
-            start = len(raw_index) + len(rule_id) + 2
-            end = start + len(subject)
-            del fields, subject_field, head, subject
-            shared = line[start:end]
+            shared = subject
         steps.append(new(TraceStep, (index, rule_id, shared, produced, refs, literals, params)))
     return ProofTrace(tuple(steps))
 

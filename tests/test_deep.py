@@ -75,14 +75,14 @@ def chain_trace(n: int) -> str:
 
 
 def test_parse_trace_keeps_one_subject_per_run_and_no_list_of_records():
-    text = chain_trace(1000)  # 78 MB: every step names its subject in full
+    text = chain_trace(1000)  # 81.6 MB: every step names its subject in full
     tracemalloc.start()
     try:
         steps = engine.parse_trace(text).steps
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the subjects kept are about 0.3 of the text; a list of every record
+    # the subjects kept are about a third of the text; a list of every record
     # would be the whole text again
     assert peak < 0.6 * len(text)
     pairs = list(zip(steps, steps[1:]))
