@@ -113,18 +113,18 @@ def cmd_bound(args: argparse.Namespace) -> int:
             ],
             "trace": list(iter_records(engine.serialize_trace(result.trace))) if args.trace else None,
         }
-        print(json.dumps(payload, indent=2))
+        # written as it is encoded, so the document is never one string
+        json.dump(payload, sys.stdout, indent=2)
+        print()
         return 0
     print(f"group: {to_canonical(expr)}")
     print(f"bound: {result.bound}")
     print(f"verdict: {verdict.status} ({verdict.reason})")
-    if cons:
-        print("consequences:")
-        for c in cons:
-            print(f"  {c.kind}: {c.condition}")
-            print(f"    {c.citation}")
-    else:
-        print("consequences: none")
+    # every description's upper bound is finite, so it has consequences
+    print("consequences:")
+    for c in cons:
+        print(f"  {c.kind}: {c.condition}")
+        print(f"    {c.citation}")
     if args.trace:
         print("trace:")
         for line in iter_records(engine.serialize_trace(result.trace)):

@@ -16,8 +16,8 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
-from typing import TYPE_CHECKING, NoReturn
+from itertools import accumulate, chain, product
+from typing import TYPE_CHECKING
 
 from . import Refusal, iter_records
 
@@ -881,12 +881,6 @@ def format_witness(witness: CoverWitness) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-# A subset line's body as format_witness writes it: numerals as str()
-# writes them for integers n >= 0, joined by commas, each of at most 19
-# digits: int() converts them all, and no longer index is in range.
-_INDEX_LIST = re.compile(r"(?:0|[1-9][0-9]{0,18})(?:,(?:0|[1-9][0-9]{0,18}))*")
-
-
 def _natural(text: str) -> int | None:
     """The value of a numeral as str() writes one for an integer n >= 0, or
     None: for a sign, space, underscore, leading zero or non-ASCII digit,
@@ -921,19 +915,62 @@ def _parse_label(label: str, lineno: int) -> FiniteMetricSpace:
         raise WitnessFormatError(str(exc), lineno) from exc
 
 
-def _refuse_subset(body: str, n: int, lineno: int) -> NoReturn:
-    """Refuse a subset line body, naming its first bad piece."""
+def _subset_error(body: str, n: int) -> str | None:
+    """What is wrong with a subset line body, naming its first bad piece,
+    or None for a good body."""
     seen: set[int] = set()
     for piece in body.split(","):
         i = _natural(piece)
-        if i is None or i >= n or i in seen:
-            break
+        if i is None:
+            return f"bad point index {piece!r}"
+        if i >= n:
+            return f"point index {i} out of range for {n}-point space"
+        if i in seen:
+            return f"duplicate point index {i}"
         seen.add(i)
-    if i is None:
-        raise WitnessFormatError(f"bad point index {piece!r}", lineno)
-    if i >= n:
-        raise WitnessFormatError(f"point index {i} out of range for {n}-point space", lineno)
-    raise WitnessFormatError(f"duplicate point index {i}", lineno)
+    return None
+
+
+def _numerals(text: str) -> bool:
+    """Whether text is numerals as str() writes them for integers n >= 0,
+    each of at most 18 digits, so that int64 holds it, joined by commas.
+    Read as bytes: a regex over the whole text keeps about 200 bytes of
+    backtracking state per numeral."""
+    if not text.isascii():
+        return False
+    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    commas = np.flatnonzero(chars == ord(","))
+    starts = np.concatenate(([0], commas + 1))
+    lengths = np.append(commas, len(chars)) - starts
+    return bool(
+        np.count_nonzero(chars - ord("0") < 10) == len(chars) - len(commas)
+        and 1 <= lengths.min()
+        and lengths.max() <= 18
+        and not (chars[starts[lengths > 1]] == ord("0")).any()
+    )
+
+
+def _read_subsets(bodies: list[str], n: int) -> list[list[int]]:
+    """The subsets that the bodies of lines 5, 6, ... list, read together:
+    one syntax check, one decode, one range test and one duplicate test per
+    subset.  When that read declines, the first bad body is refused."""
+    if not bodies:
+        return []
+    text = ",".join(bodies)
+    if _numerals(text):
+        values = np.fromstring(text, dtype=np.int64, sep=",")
+        subsets = _cut(values.tolist(), [body.count(",") + 1 for body in bodies])
+        if values.max() < n and all(len(set(s)) == len(s) for s in subsets):
+            return subsets
+    lineno, message = next(
+        (k, m) for k, body in enumerate(bodies, 5) if (m := _subset_error(body, n)) is not None
+    )
+    raise WitnessFormatError(message, lineno)
+
+
+def _cut(items: list, sizes: list[int]) -> list[list]:
+    """items cut into consecutive runs of the given sizes."""
+    return [items[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
 
 
 def parse_witness(text: str) -> CoverWitness:
@@ -947,11 +984,10 @@ def parse_witness(text: str) -> CoverWitness:
     cover is verify_cover's business.
 
     Records end at "\n" alone, less one trailing "\r" each (CRLF text), so
-    no other line break character can split a line.  A subset line is read
-    in one step, one regex match and one int per numeral; any body that
-    step declines (not a list of numerals, an index past the space, a
-    repeat or a numeral too long for int()) is refused, naming its first
-    bad piece.
+    no other line break character can split a line.  The subset lines'
+    heads are checked line by line and their bodies read together
+    (_read_subsets); a bad body is refused, naming its first bad piece,
+    before a bad head on a later line.
     """
     lines = list(iter_records(text))
     if len(lines) < 4:
@@ -967,36 +1003,33 @@ def parse_witness(text: str) -> CoverWitness:
     B = _natural(b_line[2:]) if b_line.startswith("B ") else None
     if B is None:
         raise WitnessFormatError(f"bad B line {b_line!r}", 4)
-    families: list[list[list[int]]] = []
-    for offset, line in enumerate(lines[4:]):
-        lineno = offset + 5
-        head, sep, body = line.partition(" ")
-        fam_s, colon, idx_s = head.partition(":")
-        fam, idx = _natural(fam_s), _natural(idx_s)
-        if not sep or not colon or fam is None or idx is None:
-            raise WitnessFormatError(f"bad subset line {line!r}", lineno)
-        if fam >= len(families):
-            if fam >= n:
+    counts: list[int] = []  # subsets per family
+    bodies: list[str] = []
+    try:
+        for lineno, line in enumerate(lines[4:], 5):
+            head, sep, body = line.partition(" ")
+            fam_s, colon, idx_s = head.partition(":")
+            fam, idx = _natural(fam_s), _natural(idx_s)
+            if not sep or not colon or fam is None or idx is None:
+                raise WitnessFormatError(f"bad subset line {line!r}", lineno)
+            if fam >= len(counts):
+                if fam >= n:
+                    raise WitnessFormatError(
+                        f"family index {fam} out of range for {n}-point space", lineno
+                    )
+                counts.extend([0] * (fam + 1 - len(counts)))
+            elif fam != len(counts) - 1:
                 raise WitnessFormatError(
-                    f"family index {fam} out of range for {n}-point space", lineno
+                    f"family indices must increase, got family {fam} after {len(counts) - 1}",
+                    lineno,
                 )
-            families.extend([] for _ in range(fam + 1 - len(families)))
-        elif fam != len(families) - 1:
-            raise WitnessFormatError(
-                f"family indices must increase, got family {fam} after {len(families) - 1}",
-                lineno,
-            )
-        if idx != len(families[fam]):
-            raise WitnessFormatError(
-                f"subset index {idx} out of order in family {fam}", lineno
-            )
-        if _INDEX_LIST.fullmatch(body):
-            # A comprehension, not list(map(int, ...)): tracemalloc finds the
-            # line of the frame that allocates each int, which takes a scan
-            # of that frame's code, and this frame is short.
-            subset = [int(piece) for piece in body.split(",")]
-            if max(subset) < n and len(set(subset)) == len(subset):
-                families[fam].append(subset)
-                continue
-        _refuse_subset(body, n, lineno)
-    return CoverWitness(space, families, D, B)
+            if idx != counts[fam]:
+                raise WitnessFormatError(
+                    f"subset index {idx} out of order in family {fam}", lineno
+                )
+            counts[fam] += 1
+            bodies.append(body)
+    finally:
+        # also after a bad head, so that a bad body on an earlier line is refused first
+        subsets = _read_subsets(bodies, n)
+    return CoverWitness(space, _cut(subsets, counts), D, B)

@@ -473,7 +473,10 @@ def _spanning_tree(graph: DecompGraph) -> tuple[list[tuple[int, int, int]], list
 
 
 def _graph_expr(graph: DecompGraph, dim: int) -> GroupExpr:
-    vertex_exprs = [Lattice(v.geometry, dim, False) for v in graph.vertices]
+    # one checked constructor call per distinct geometry, in order of first use
+    geometries = dict.fromkeys(v.geometry for v in graph.vertices)
+    lattices = {geometry: Lattice(geometry, dim, False) for geometry in geometries}
+    vertex_exprs = [lattices[v.geometry] for v in graph.vertices]
     if not graph.pi1_injective:
         return Union(tuple(vertex_exprs))
     tree, rest = graph.tree

@@ -7,6 +7,7 @@ paths, brute-force colorings) rather than against the module itself.
 
 import itertools
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter, deque
@@ -919,12 +920,150 @@ def test_witness_format_errors_carry_line_numbers():
         with pytest.raises(WitnessFormatError) as info:
             parse_witness(lines[0] + f"\n{label}\n" + "\n".join(lines[2:]) + "\n")
         assert (info.value.line, info.value.message) == (2, f"bad space label {label!r}")
-    # a numeral too long for the one-step read is still named out of range
+    # a numeral too long for the bulk read is still named out of range
     with pytest.raises(WitnessFormatError) as info:
         parse_witness("\n".join(lines[:4]) + "\n0:0 0,12345678901234567890\n")
     assert (info.value.line, info.value.message) == (
         5, "point index 12345678901234567890 out of range for 9-point space"
     )
+
+
+def _read_line_by_line(text: str):
+    """A reference witness reader: the subset lines one at a time and each
+    index with its own int(), as the reader did before it read all bodies
+    together.  The families, or the (line, message) of the refusal."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    lines = [line.removesuffix("\r") for line in lines]
+    n = len(parse_witness("".join(line + "\n" for line in lines[:4])).space)
+
+    def natural(piece):
+        if piece.isascii() and piece.isdigit() and (piece == "0" or piece[0] != "0"):
+            try:
+                return int(piece)
+            except ValueError:  # more digits than int() converts
+                pass
+        return None
+
+    families = []
+    for lineno, line in enumerate(lines[4:], 5):
+        head, sep, body = line.partition(" ")
+        fam_s, colon, idx_s = head.partition(":")
+        fam, idx = natural(fam_s), natural(idx_s)
+        if not sep or not colon or fam is None or idx is None:
+            return lineno, f"bad subset line {line!r}"
+        if fam >= len(families):
+            if fam >= n:
+                return lineno, f"family index {fam} out of range for {n}-point space"
+            families += [[] for _ in range(fam + 1 - len(families))]
+        elif fam != len(families) - 1:
+            return lineno, f"family indices must increase, got family {fam} after {len(families) - 1}"
+        if idx != len(families[fam]):
+            return lineno, f"subset index {idx} out of order in family {fam}"
+        subset = []
+        for piece in body.split(","):
+            i = natural(piece)
+            if i is None:
+                return lineno, f"bad point index {piece!r}"
+            if i >= n:
+                return lineno, f"point index {i} out of range for {n}-point space"
+            if i in subset:
+                return lineno, f"duplicate point index {i}"
+            subset.append(i)
+        families[fam].append(subset)
+    return families
+
+
+def _read_in_bulk(text: str):
+    try:
+        return parse_witness(text).families
+    except WitnessFormatError as exc:
+        return exc.line, exc.message
+
+
+# An 11-point space: indices 0..10.
+_HEAD = "coarse-witness v1\ngroup=FreeAbelian(1) radius=5\nD 1\nB 2\n"
+_BULK_CASES = {
+    "good": ["0:0 0,1,2", "0:1 5,6", "1:0 3,4,10"],
+    "leading zero": ["0:0 0,1", "0:1 5,06"],
+    "lone zeros": ["0:0 0", "1:0 00"],
+    "18 digits": ["0:0 1", "0:1 2," + "9" * 18],
+    "19 digits": ["0:0 1", "0:1 2," + "1" * 19],
+    "25 digits": ["0:0 1," + "1234567890" * 2 + "12345", "0:1 2"],
+    "5000 digits": ["0:0 1", "0:1 " + "7" * 5000],
+    "non-ASCII digit": ["0:0 1,\u0663", "0:1 2"],
+    "superscript digit": ["0:0 1,\u00b2"],
+    "fullwidth digit": ["0:0 1", "0:1 \uff11"],
+    "empty body": ["0:0 1", "0:1 "],
+    "double comma": ["0:0 1,,2"],
+    "trailing comma": ["0:0 1,", "0:1 2"],
+    "leading comma": ["0:0 1", "0:1 ,2"],
+    "sign and space": ["0:0 +1", "0:1 2, 3"],
+    "index equal to n": ["0:0 1,11"],
+    "index below n": ["0:0 1,10"],
+    "repeat within a subset": ["0:0 1,2", "0:1 3,4,3"],
+    "same index in two subsets": ["0:0 1,2,3", "0:1 3,4", "1:0 3"],
+    "bad body, then bad head": ["0:0 1", "0:1 2,x", "0:3 4"],
+    "bad head, then bad body": ["0:0 1", "0:2 4", "0:3 x"],
+    "bad head and body on one line": ["0:0 1", "0:x 2,,"],
+    "bad body, then bad family order": ["1:0 1", "1:1 1,1", "0:0 2"],
+    "bad body, then family out of range": ["0:0 99", "11:0 1"],
+    "skipped families": ["0:0 1", "3:0 2,3", "3:1 4", "7:0 5"],
+    "skipped families, bad body after": ["2:0 1", "5:0 2,002"],
+    "blank line": ["0:0 1", "", "0:1 2"],
+    "no body": ["0:0 1", "0:1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BULK_CASES))
+@pytest.mark.parametrize("crlf", [False, True])
+def test_the_bulk_subset_reader_agrees_with_a_line_by_line_reader(name, crlf):
+    end = "\r\n" if crlf else "\n"
+    text = (_HEAD + "".join(line + "\n" for line in _BULK_CASES[name])).replace("\n", end)
+    want = _read_line_by_line(text)
+    assert _read_in_bulk(text) == want
+    # the parse result is plain lists of ints, as the line-by-line reader builds
+    if isinstance(want, list):
+        assert all(type(i) is int for family in parse_witness(text).families for s in family for i in s)
+
+
+def test_no_numeral_over_18_digits_reaches_the_int64_decode(monkeypatch):
+    decoded = []
+    fromstring = np.fromstring
+    monkeypatch.setattr(np, "fromstring", lambda text, **kw: decoded.append(text) or fromstring(text, **kw))
+    for lines in _BULK_CASES.values():
+        _read_in_bulk(_HEAD + "".join(line + "\n" for line in lines))
+    numerals = [numeral for text in decoded for numeral in text.split(",")]
+    assert max(map(len, numerals)) == 18
+
+
+def test_the_bulk_subset_reader_agrees_with_a_line_by_line_reader_on_random_witnesses():
+    pieces = ["0", "1", "3", "7", "10", "11", "12", "01", "00", "", "x", "-1", "+2", " 4",
+              "\u0663", "9" * 18, "1" * 19, "2" * 25]
+    rng = random.Random(28)
+    outcomes = Counter()
+    for _ in range(3000):
+        lines, fam, idx = [], 0, 0
+        for _ in range(rng.randint(0, 8)):
+            if rng.random() < 0.3:
+                fam, idx = fam + rng.choice((1, 1, 2)), 0
+            body = ",".join(str(i) for i in rng.sample(range(11), rng.randint(1, 4)))
+            if rng.random() < 0.15:
+                parts = body.split(",")
+                parts[rng.randrange(len(parts))] = rng.choice(pieces)
+                body = ",".join(parts)
+            head = f"{fam}:{idx}"
+            if rng.random() < 0.05:
+                head = rng.choice((f"{fam}:{idx + 1}", f"{max(fam - 1, 0)}:{idx}", f"{fam}", f"11:{idx}"))
+            lines.append(f"{head} {body}")
+            idx += 1
+        text = _HEAD + "".join(line + "\n" for line in lines)
+        want = _read_line_by_line(text)
+        assert _read_in_bulk(text) == want, text
+        outcomes[re.sub(r"'.*'|[0-9]+", "#", want[1]) if isinstance(want, tuple) else "ok"] += 1
+    # many texts were accepted, and each of the seven refusals was met
+    assert outcomes["ok"] > 500 and len(outcomes) == 8, outcomes
 
 
 def test_heisenberg_labels_parse_with_or_without_their_metric_field():

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import BOUNDS, make_expr
 
-from asdimlab import engine, geometries, groups
+from asdimlab import engine, geometries, groups, manifolds
 from asdimlab.bounds import (
     FINITE_UNKNOWN,
     UNKNOWN,
@@ -315,6 +316,29 @@ def test_consequence_gating():
     qual = consequences(DimBound(0, FINITE_UNKNOWN), aspherical=False)
     assert [c.kind for c in qual] == ["CoarseBaumConnes", "Novikov"]
     assert consequences(DimBound(1, UNKNOWN), aspherical=True) == ()
+
+
+def test_every_bound_a_description_compiles_to_has_a_finite_upper_end():
+    """compile() builds its group from catalog lattices of dimension 3 or 4,
+    cocompact or not, the edge groups and Trivial, joined by Amalgam, HNN,
+    Union, FreeProduct (amalgams over Trivial) and ActsOnCover (a proper
+    action); bound() adds R-INFINITE-LB and R-ASPH-LB only as inputs of an
+    R-COMBINE with another derivation.  Each of these keeps the upper end
+    finite, so every description's bound has consequences, and the command
+    line prints no empty consequence list."""
+    leaves = [Trivial(), *manifolds._EDGE_EXPRS.values()]
+    leaves += [Lattice(fact.name, dim, cocompact)
+               for dim in (3, 4) for fact in geometries.list_geometries(dim) for cocompact in (True, False)]
+    for leaf in leaves:
+        assert bound(leaf).bound.upper.is_finite, leaf
+    fin = (b("0..3"), DimBound(0, FINITE_UNKNOWN))
+    for rule, arity in (("R-PROPER-ACTION", 1), ("R-HNN", 2), ("R-UNION", 2), ("R-AMALGAM", 3)):
+        for ins in product(fin, repeat=arity):
+            assert apply_rule(rule, ins).upper.is_finite, (rule, ins)
+    for derived, unbounded in product(fin, (apply_rule("R-INFINITE-LB", ()), apply_rule("R-ASPH-LB", (), (3,)))):
+        assert not unbounded.upper.is_finite
+        assert apply_rule("R-COMBINE", (derived, unbounded)).upper.is_finite
+        assert consequences(apply_rule("R-COMBINE", (derived, unbounded)), aspherical=True)
 
 
 def test_consequences_cite_the_proper_action_inequality():
